@@ -151,24 +151,29 @@ GEN_FLAG_KEYS = {
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config file and apply explicit overrides on top."""
     data: dict = {}
-    if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
-        bad = sorted(set(data) - CONFIG_KEYS)
-        if bad:
-            raise ValueError(f"unknown config keys {bad}")
-    if overrides:
-        gen = dict(data.get("generator") or {})
-        for flag, key in GEN_FLAG_KEYS.items():
-            if overrides.get(flag) is not None:
-                gen[key] = overrides[flag]
-        if gen:
-            data["generator"] = gen
-        for key in CONFIG_KEYS - {"generator"}:
-            if overrides.get(key) is not None:
-                data[key] = overrides[key]
-    cfg = ExperimentConfig(**data)
-    cfg.validate()
+    try:
+        if path is not None:
+            with open(path) as fh:
+                data = json.load(fh)
+            bad = sorted(set(data) - CONFIG_KEYS)
+            if bad:
+                raise ValueError(f"unknown config keys {bad}")
+        if overrides:
+            gen = dict(data.get("generator") or {})
+            for flag, key in GEN_FLAG_KEYS.items():
+                if overrides.get(flag) is not None:
+                    gen[key] = overrides[flag]
+            if gen:
+                data["generator"] = gen
+            for key in CONFIG_KEYS - {"generator"}:
+                if overrides.get(key) is not None:
+                    data[key] = overrides[key]
+        cfg = ExperimentConfig(**data)
+        cfg.validate()
+        if cfg.generator is not None:
+            _genspec(cfg.generator)
+    except TypeError as err:
+        raise ValueError(f"malformed config: {err}") from None
     return cfg
 
 

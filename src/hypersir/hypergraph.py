@@ -215,26 +215,39 @@ class LinkIndex:
     """Enumeration of the directed binary links (i -> j), Atilde_ij = 1.
 
     Links are sorted by (src, dst), so ids of links out of a node are
-    contiguous.  ``reverse[e]`` is the id of the opposite link, and
-    ``weight[e]`` the shared-hyperedge count of the underlying pair.
+    contiguous and :meth:`link_ids` finds ids by binary search.
+    ``reverse[e]`` is the id of the opposite link, and ``weight[e]`` the
+    shared-hyperedge count of the underlying pair.
     """
 
     num_nodes: int
     src: np.ndarray        # (2M_L,) source node per link
     dst: np.ndarray        # (2M_L,) destination node per link
     weight: np.ndarray     # (2M_L,) weighted-adjacency value of the pair
-    reverse: np.ndarray    # (2M_L,) id of link (j -> i) for link (i -> j)
     out_ptr: np.ndarray    # (N+1,) CSR pointer: out-links of node i
     in_ptr: np.ndarray     # (N+1,) CSR pointer into in_ids
     in_ids: np.ndarray     # link ids grouped by destination, sorted by (dst, src)
-    lookup: dict[tuple[int, int], int] = field(repr=False)
+    reverse: np.ndarray = field(init=False)  # (2M_L,) id of link (j -> i) for link (i -> j)
+
+    def __post_init__(self):
+        self.reverse = self.link_ids(self.dst, self.src)
 
     @property
     def num_links(self) -> int:
         return len(self.src)
 
+    def link_ids(self, src, dst) -> np.ndarray:
+        """Ids of links (src[k] -> dst[k]); KeyError if any pair is no link."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        ids = np.searchsorted(self.src * self.num_nodes + self.dst, src * self.num_nodes + dst)
+        # compare the pairs, not the keys: an out-of-range dst aliases another key
+        if not ((ids < self.num_links).all() and np.array_equal(self.src[ids], src)
+                and np.array_equal(self.dst[ids], dst)):
+            raise KeyError("node pairs absent from the link index")
+        return ids
+
     def link_id(self, i: int, j: int) -> int:
-        return self.lookup[(i, j)]
+        return int(self.link_ids([i], [j])[0])
 
     def out_links(self, i: int) -> np.ndarray:
         return np.arange(self.out_ptr[i], self.out_ptr[i + 1])
@@ -249,23 +262,15 @@ def build_link_index(view: AdjacencyView) -> LinkIndex:
     n = view.num_nodes
     dst = binary.indices.astype(np.int64)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(binary.indptr))
-    weight = view.weighted.data.astype(np.int64)  # same sparsity pattern as binary
-    lookup = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(src, dst))}
-    reverse = np.array([lookup[(int(j), int(i))] for i, j in zip(src, dst)], dtype=np.int64)
-    out_ptr = binary.indptr.astype(np.int64)
-    in_order = np.lexsort((src, dst))
-    in_ids = in_order.astype(np.int64)
-    in_ptr = np.searchsorted(dst[in_order], np.arange(n + 1)).astype(np.int64)
+    in_ids = np.lexsort((src, dst))
     return LinkIndex(
         num_nodes=n,
         src=src,
         dst=dst,
-        weight=weight,
-        reverse=reverse,
-        out_ptr=out_ptr,
-        in_ptr=in_ptr,
-        in_ids=in_ids,
-        lookup=lookup,
+        weight=view.weighted.data.astype(np.int64),  # same sparsity pattern as binary
+        out_ptr=binary.indptr.astype(np.int64),
+        in_ptr=np.searchsorted(dst[in_ids], np.arange(n + 1)).astype(np.int64),
+        in_ids=in_ids.astype(np.int64),
     )
 
 

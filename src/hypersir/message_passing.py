@@ -7,7 +7,8 @@ the scheme exact on pairwise trees.  Linearizing the infected block of
 the update around the all-susceptible point yields a weighted
 non-backtracking operator; its spectral radius decides whether a
 vanishing infection seed grows or dies, and downstream influence
-scoring reuses the same operator.
+scoring reuses the same operator.  It is applied matrix-free; a CSR
+form is built only for small-instance oracles and ``--dump-operator``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .hypergraph import (
     AdjacencyView,
+    Hypergraph,
     LinkIndex,
     TwoSimplexSet,
     build_link_index,
+    enumerate_two_simplices,
 )
 from .sir import EpidemicParams
 
@@ -80,27 +83,14 @@ class _CavityPlumb:
 
 
 def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet | None) -> _CavityPlumb:
-    n = links.num_nodes
     num_links = links.num_links
-    if simplices is None or len(simplices.centers) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return _CavityPlumb(
-            tlink_a=empty,
-            tlink_b=empty,
-            exc_ptr=np.zeros(num_links + 1, dtype=np.int64),
-            exc_tid=empty,
-            center_ptr=np.zeros(n + 1, dtype=np.int64),
-            center_weight=empty,
-        )
-    # Link ids are sorted by (src, dst), so (a -> c) resolves by search
-    # over the combined key without per-row dict lookups.
-    key = links.src * np.int64(n) + links.dst
-    want_a = simplices.other_a * np.int64(n) + simplices.centers
-    want_b = simplices.other_b * np.int64(n) + simplices.centers
-    tlink_a = np.searchsorted(key, want_a)
-    tlink_b = np.searchsorted(key, want_b)
-    if not (np.array_equal(key[tlink_a], want_a) and np.array_equal(key[tlink_b], want_b)):
-        raise ValueError("two-simplex set references pairs absent from the link index")
+    if simplices is None:
+        simplices = enumerate_two_simplices(Hypergraph(links.num_nodes))
+    try:
+        tlink_a = links.link_ids(simplices.other_a, simplices.centers)
+        tlink_b = links.link_ids(simplices.other_b, simplices.centers)
+    except KeyError:
+        raise ValueError("two-simplex set references pairs absent from the link index") from None
     rows = np.arange(len(simplices.centers), dtype=np.int64)
     # Triple (i, m, l) leaves the cavity products of links (i -> m) and
     # (i -> l); those are the reverses of the message-feeding links.
@@ -340,28 +330,48 @@ def node_marginals(msgs: MessageState) -> np.ndarray:
 class WnbOperator:
     """Linearization of the infected-message update at zero infection.
 
-    ``skeleton`` holds the infection-rate-free pattern: entry at
-    (row = link i -> j, col = link k -> i, k != j) equals the weighted
-    adjacency count A_ik.  The operator itself is ``beta1 * gamma``
-    times the skeleton; triangle terms are quadratic in the infection
-    messages and vanish at this point, so no triangle parameter appears.
+    Entry (row = link i -> j, col = link k -> i, k != j) equals
+    ``beta1 * gamma * A_ki``; triangle terms are quadratic in the
+    infection messages and vanish at this point, so no triangle
+    parameter appears.  :meth:`matvec` applies it matrix-free; the CSR
+    forms ``skeleton`` (entries A_ki) and ``matrix`` are built per read.
     """
 
-    skeleton: sp.csr_matrix
     beta1: float
     gamma: float
     links: LinkIndex = field(repr=False)
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_links(self) -> int:
-        return self.skeleton.shape[0]
+        return self.links.num_links
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """(Bx)[i -> j] = sum_{k -> i} w A_ki x[k -> i] - w A_ji x[j -> i]."""
+        links = self.links
+        wx = (self.beta1 * self.gamma) * links.weight * x
+        into = np.bincount(links.dst, weights=wx, minlength=links.num_nodes)
+        return into[links.src] - wx[links.reverse]
+
+    @property
+    def skeleton(self) -> sp.csr_matrix:
+        """Rate-free CSR: link -> source incidence times the weighted
+        in-links of each node, minus the weighted backtracking step."""
+        links = self.links
+        num_links, n = links.num_links, links.num_nodes
+        ids = np.arange(num_links + 1)
+        weight = links.weight.astype(np.float64)
+        to_src = sp.csr_matrix((np.ones(num_links), links.src, ids), shape=(num_links, n))
+        from_dst = sp.csr_matrix((weight[links.in_ids], links.in_ids, links.in_ptr),
+                                 shape=(n, num_links))
+        back = sp.csr_matrix((weight[links.reverse], links.reverse, ids),
+                             shape=(num_links, num_links))
+        skeleton = to_src @ from_dst - back  # drops the cancelled entries
+        skeleton.sort_indices()
+        return skeleton
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            self._matrix = (self.beta1 * self.gamma) * self.skeleton
-        return self._matrix
+        return (self.beta1 * self.gamma) * self.skeleton
 
     def dump_coo(self, path) -> None:
         """Write the scaled operator as 'row col value' text lines."""
@@ -378,32 +388,14 @@ def build_wnb(
     gamma: float,
     links: LinkIndex | None = None,
 ) -> WnbOperator:
-    """Assemble the non-backtracking operator over directed links."""
+    """The non-backtracking operator over the directed links of ``view``."""
     if beta1 < 0:
         raise ValueError("beta1 must be nonnegative")
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     if links is None:
         links = build_link_index(view)
-    num_links = links.num_links
-    out_deg = np.diff(links.out_ptr)
-    in_deg = np.diff(links.in_ptr)
-    rows = np.repeat(np.arange(num_links, dtype=np.int64), in_deg[links.src])
-    col_parts = []
-    for i in range(links.num_nodes):
-        if out_deg[i] == 0:
-            continue
-        seg = links.in_ids[links.in_ptr[i]: links.in_ptr[i + 1]]
-        col_parts.append(np.tile(seg, out_deg[i]))
-    cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
-    keep = cols != links.reverse[rows]
-    rows, cols = rows[keep], cols[keep]
-    skeleton = sp.coo_matrix(
-        (links.weight[cols].astype(np.float64), (rows, cols)),
-        shape=(num_links, num_links),
-    ).tocsr()
-    skeleton.sort_indices()
-    return WnbOperator(skeleton=skeleton, beta1=beta1, gamma=gamma, links=links)
+    return WnbOperator(beta1=beta1, gamma=gamma, links=links)
 
 
 @dataclass
@@ -444,28 +436,25 @@ def leading_eigen(
 
     The iteration runs on the diagonally shifted operator so that the
     rotating spectra of cycle-like graphs still mix toward the leading
-    eigenvector; the reported eigenvalue removes the shift.  Operators
-    without any directed cycle are nilpotent and short-circuit to an
+    eigenvector; the reported eigenvalue removes the shift.  The
+    operator is nilpotent exactly when the node graph is a forest
+    (links / 2 == nodes - components); that case short-circuits to an
     exact zero radius with an exact kernel vector.
     """
-    mat = op.matrix
-    num_links = mat.shape[0]
-    if num_links == 0:
-        return SpectralResult(0.0, np.zeros(0), 0, 0.0, True)
-    if mat.nnz == 0:
-        return SpectralResult(0.0, np.full(num_links, 1.0 / num_links), 0, 0.0, True)
-
-    n_strong, _ = connected_components(mat, directed=True, connection="strong")
-    if n_strong == num_links:
-        # No directed cycle: nilpotent operator.  Links pointing into a
-        # degree-1 node are never read by any row, so their indicator
-        # spans an exact kernel direction.
-        in_deg = np.diff(op.links.in_ptr)
-        v = (in_deg[op.links.dst] == 1).astype(np.float64)
-        if v.sum() == 0.0:
-            v = np.full(num_links, 1.0)
+    links = op.links
+    num_links = links.num_links
+    n_comp, _ = connected_components(
+        sp.csr_matrix((np.ones(num_links), links.dst, links.out_ptr),
+                      shape=(links.num_nodes, links.num_nodes)),
+        directed=False,
+    )
+    if num_links // 2 == links.num_nodes - n_comp:
+        # Links pointing into a degree-1 node are never read by any row,
+        # so their indicator spans an exact kernel direction.
+        in_deg = np.diff(links.in_ptr)
+        v = (in_deg[links.dst] == 1).astype(np.float64)
         v /= v.sum()
-        resid = float(np.abs(mat @ v).sum())
+        resid = float(np.abs(op.matvec(v)).sum())
         return SpectralResult(0.0, v, 0, resid, True)
 
     if seed is None:
@@ -474,23 +463,23 @@ def leading_eigen(
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.5, 1.5, size=num_links)
         v /= v.sum()
-    shift = 0.5 * float(np.max(mat.sum(axis=1)))
+    shift = 0.5 * float(np.max(op.matvec(np.ones(num_links))))
     lam_prev = math.inf
     lam = 0.0
     resid = math.inf
     for it in range(1, max_iters + 1):
-        w = mat @ v + shift * v
+        w = op.matvec(v) + shift * v
         nrm = float(w.sum())
         v = w / nrm
         lam = nrm - shift
         if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
-            r = mat @ v
+            r = op.matvec(v)
             resid = float(np.abs(r - lam * v).sum())
             if resid <= tol * max(1.0, abs(lam)):
                 return SpectralResult(lam, v, it, resid, True)
         lam_prev = lam
     if not math.isfinite(resid):
-        r = mat @ v
+        r = op.matvec(v)
         resid = float(np.abs(r - lam * v).sum())
     return SpectralResult(lam, v, max_iters, resid, False)
 

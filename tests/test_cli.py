@@ -175,6 +175,18 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["stats", "--dataset", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60, "bogus": 1}},
+    {"dataset": "unused.txt", "runs": "10"},
+], ids=["unknown_generator_key", "string_runs"])
+def test_malformed_config_exits_2(tmp_path, capsys, doc):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") for line in err)
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERSIR_OUTPUT_ROOT", str(tmp_path))
     tri = triangle_file(tmp_path)

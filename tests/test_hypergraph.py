@@ -223,6 +223,14 @@ def test_link_index_bijection_and_reverse():
         assert sum(len(li.out_links(i)) for i in range(h.num_nodes)) == li.num_links
 
 
+def test_link_id_of_absent_pair_raises():
+    li = hs.build_link_index(hs.build_adjacency(hs.Hypergraph(4, [(0, 1, 2)])))
+    # (0, 4) is out of range; its key 0 * 4 + 4 equals that of link (1, 0)
+    for i, j in ((0, 0), (0, 3), (3, 0), (0, 4), (-1, 2)):
+        with pytest.raises(KeyError):
+            li.link_id(i, j)
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

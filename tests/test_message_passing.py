@@ -108,11 +108,13 @@ def test_path_cavity_matches_enumeration():
 def test_tree_marginals_match_enumeration(edges, seed, b1):
     n = max(max(e) for e in edges) + 1
     v, ts = views(n, edges)
-    st = hs.mp_solve(v, ts, hs.EpidemicParams(beta1=b1, beta2=0.0, gamma=1), [seed])
-    marg = hs.node_marginals(st)
     exact = exact_final_marginals(n, edges, [seed], b1, 0.0, 1)
-    assert np.abs(marg[:, 2] - exact).max() < 1e-9
-    assert np.allclose(marg.sum(axis=1), 1.0)
+    # no two-simplex set at all is the empty set
+    for simplices in (ts, None):
+        st = hs.mp_solve(v, simplices, hs.EpidemicParams(beta1=b1, beta2=0.0, gamma=1), [seed])
+        marg = hs.node_marginals(st)
+        assert np.abs(marg[:, 2] - exact).max() < 1e-9
+        assert np.allclose(marg.sum(axis=1), 1.0)
 
 
 def test_tree_outbreak_size_matches_monte_carlo():
@@ -198,14 +200,20 @@ def test_operator_triangle_structure():
 
 def test_operator_row_counts_match_in_degrees():
     rng = np.random.default_rng(106)
-    for _ in range(25):
-        g = random_hypergraph(rng)
+    graphs = [random_hypergraph(rng) for _ in range(25)]
+    # duplicate hyperedges lift pair weights above 1
+    graphs.append(hs.Hypergraph(5, [[0, 1, 2], [0, 1, 2], [1, 2, 3], [2, 3, 4], [2, 3, 4]]))
+    for g in graphs:
         v = hs.build_adjacency(g)
         li = hs.build_link_index(v)
         op = hs.build_wnb(v, 0.4, 2, links=li)
         nnz_per_row = np.diff(op.skeleton.indptr)
         in_deg = np.diff(li.in_ptr)
         assert np.array_equal(nnz_per_row, in_deg[li.src] - 1)
+        # the matrix-free product against its CSR oracle
+        x = rng.standard_normal(li.num_links)
+        assert np.abs(op.matvec(x) - op.matrix @ x).max(initial=0.0) <= 1e-12
+    assert li.weight.max() > 1
 
 
 def test_operator_weighted_entries_from_repeated_hyperedge():
@@ -291,6 +299,14 @@ def test_forest_radius_is_exactly_zero():
     v2, _ = views(2, [[0, 1]])
     res2 = hs.leading_eigen(hs.build_wnb(v2, 0.9, 1.0))
     assert res2.lambda_c == 0.0 and res2.converged
+    # two trees plus isolated nodes 7 and 8
+    v3, _ = views(9, [[0, 1], [1, 2], [3, 4], [4, 5], [4, 6]])
+    res3 = hs.leading_eigen(hs.build_wnb(v3, 0.9, 1.0))
+    assert res3.lambda_c == 0.0 and res3.residual == 0.0 and res3.converged
+    assert res3.eigvec.sum() == pytest.approx(1.0)
+    # one cycle among a tree and an isolated node is no forest
+    v4, _ = views(6, [[0, 1], [1, 2], [0, 2], [3, 4]])
+    assert hs.leading_eigen(hs.build_wnb(v4, 0.9, 1.0)).lambda_c == pytest.approx(0.9)
 
 
 def test_spectral_json_and_coo_dump(tmp_path):
@@ -313,6 +329,14 @@ def test_spectral_json_and_coo_dump(tmp_path):
         rows.append((int(r), int(c), float(val)))
     coo = op.matrix.tocoo()
     assert rows == list(zip(coo.row, coo.col, coo.data))
+
+
+def test_foreign_two_simplex_set_rejected():
+    v, _ = views(4, PATH5[:3])
+    for other in ([[0, 1, 3]], [[3, 4, 5]]):
+        _, foreign = views(6, other)
+        with pytest.raises(ValueError, match="absent from the link index"):
+            hs.initial_messages(v, foreign, [0])
 
 
 def test_message_state_validation_rejects_bad_sums():
