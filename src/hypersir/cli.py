@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -98,6 +99,11 @@ class ExperimentConfig:
     dump_operator: bool = False
 
     def validate(self) -> None:
+        for key, low in (("runs", 1), ("gamma", 1), ("workers", 1), ("bench_repeats", 1),
+                         ("rng_seed", 0), ("size_cap", 0)):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {val!r}")
         for grid in ("lambda1", "lambda2", "beta1", "beta2", "sizes", "n_grid"):
             vals = getattr(self, grid)
             if vals is not None and len(vals) == 0:
@@ -122,14 +128,6 @@ class ExperimentConfig:
         for nn in self.n_grid:
             if not 0 < nn <= 100:
                 raise ValueError("n_grid values must lie in (0, 100]")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.bench_repeats < 1:
-            raise ValueError("bench_repeats must be >= 1")
 
 
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))

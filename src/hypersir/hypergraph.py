@@ -1,7 +1,7 @@
 """Hypergraph structure, incidence algebra, and derived sparse views.
 
 A hypergraph is a set of N nodes plus an ordered multiset of hyperedges
-(node subsets).  Everything downstream -- contagion kernels, message
+(node subsets).  Everything downstream -- the contagion kernel, message
 passing, influence scores -- works off cached derived structure built
 here: the weighted adjacency matrix (shared-hyperedge counts), its binary
 skeleton, the triangle (2-simplex) tensor, and the directed-link index.

@@ -438,8 +438,9 @@ def leading_eigen(
     rotating spectra of cycle-like graphs still mix toward the leading
     eigenvector; the reported eigenvalue removes the shift.  The
     operator is nilpotent exactly when the node graph is a forest
-    (links / 2 == nodes - components); that case short-circuits to an
-    exact zero radius with an exact kernel vector.
+    (links / 2 == nodes - components), and zero when beta1 * gamma is 0;
+    both cases short-circuit to an exact zero radius with an exact
+    kernel vector.
     """
     links = op.links
     num_links = links.num_links
@@ -463,7 +464,11 @@ def leading_eigen(
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.5, 1.5, size=num_links)
         v /= v.sum()
+    # Entries are nonnegative, so a zero row-sum maximum means a zero
+    # operator (beta1 = 0): every vector is an exact kernel vector.
     shift = 0.5 * float(np.max(op.matvec(np.ones(num_links))))
+    if shift == 0.0:
+        return SpectralResult(0.0, v, 0, 0.0, True)
     lam_prev = math.inf
     lam = 0.0
     resid = math.inf

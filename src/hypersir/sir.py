@@ -7,9 +7,10 @@ susceptible node i escapes infection in one step with probability
       * (1 - beta2)^(sum of B_ikl over triangles with k, l both infected)
 
 and otherwise becomes infectious.  Infectious nodes recover exactly
-``gamma`` steps after infection.  Two interchangeable kernels back the
-public API: a pure-Python one that is fastest on very small graphs and a
-vectorized one for everything else; both realize the same process.
+``gamma`` steps after infection.  One kernel realizes the process: it
+advances the (runs, N) state of a whole ensemble per step, with one
+sparse product for the pairwise channel, one triangle scatter and one
+uniform draw per node and run; ``step`` runs it on a single row.
 """
 
 from __future__ import annotations
@@ -125,116 +126,34 @@ class OutbreakStats:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernel
 
-def _step_numpy(status, age, view, simplices, beta1, beta2, gamma, rng):
-    """One synchronous update in place; returns number of infectious left."""
+def _advance(status, age, view, simplices, beta1, beta2, gamma, rng):
+    """One synchronous update, in place, of every row of (R, N) arrays.
+
+    Infections are decided from the pre-step state.  The power form
+    keeps the escape probability exactly 1 when no neighbor is infected,
+    even at beta = 1.
+    """
+    runs, n = status.shape
     infected = status == I
-    n = status.shape[0]
-    if infected.any():
-        inf_f = infected.astype(np.float64)
-        pair_exp = view.weighted @ inf_f if beta1 > 0.0 else None
-        tri_exp = None
-        if beta2 > 0.0 and simplices is not None and simplices.num_triples:
-            both = infected[simplices.other_a] & infected[simplices.other_b]
-            if both.any():
-                tri_exp = np.bincount(
-                    simplices.centers[both],
-                    weights=simplices.center_weight[both].astype(np.float64),
-                    minlength=n,
-                )
-        escape = np.ones(n, dtype=np.float64)
-        if pair_exp is not None:
-            escape *= (1.0 - beta1) ** pair_exp
-        if tri_exp is not None:
-            escape *= (1.0 - beta2) ** tri_exp
-        susceptible = status == S
-        draws = rng.random(n)
-        newly = susceptible & (draws < 1.0 - escape)
-    else:
-        newly = None
-
-    if infected.any():
-        recover = infected & (age >= gamma - 1)
-        status[recover] = R
-        keep = infected & ~recover
-        age[keep] += 1
-    if newly is not None and newly.any():
-        status[newly] = I
-        age[newly] = 0
-    return int(np.count_nonzero(status == I))
-
-
-def _adjacency_lists(view: AdjacencyView):
-    """Per-node (neighbor, weight) lists from the weighted adjacency."""
-    mat = view.weighted
-    out = []
-    for i in range(view.num_nodes):
-        lo, hi = mat.indptr[i], mat.indptr[i + 1]
-        out.append(list(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist())))
-    return out
-
-
-def _triangle_lists(simplices: TwoSimplexSet | None, num_nodes: int):
-    """Per-center (other_a, other_b, weight) lists."""
-    out = [[] for _ in range(num_nodes)]
-    if simplices is None:
-        return out
-    for c, a, b, w in zip(
-        simplices.centers.tolist(),
-        simplices.other_a.tolist(),
-        simplices.other_b.tolist(),
-        simplices.center_weight.tolist(),
-    ):
-        out[c].append((a, b, w))
-    return out
-
-
-def _run_once_python(nbrs, tris, seeds, beta1, beta2, gamma, t_max, rng):
-    """One full run with Python-native state; fastest for tiny graphs."""
-    n = len(nbrs)
-    status = [S] * n
-    age = [0] * n
-    active = []
-    for s in seeds:
-        if status[s] != I:
-            status[s] = I
-            active.append(s)
-    q1 = 1.0 - beta1
-    q2 = 1.0 - beta2
-    t = 0
-    while active and t < t_max:
-        newly = []
-        for i in range(n):
-            if status[i] != S:
-                continue
-            wsum = 0
-            for j, w in nbrs[i]:
-                if status[j] == I:
-                    wsum += w
-            tsum = 0
-            if beta2 > 0.0:
-                for a, b, w in tris[i]:
-                    if status[a] == I and status[b] == I:
-                        tsum += w
-            if wsum == 0 and tsum == 0:
-                continue
-            if rng.random() < 1.0 - q1**wsum * q2**tsum:
-                newly.append(i)
-        surviving = []
-        for i in active:
-            if age[i] >= gamma - 1:
-                status[i] = R
-            else:
-                age[i] += 1
-                surviving.append(i)
-        for i in newly:
-            status[i] = I
-            age[i] = 0
-        active = surviving + newly
-        t += 1
-    sigma = sum(1 for v in status if v == R)
-    return sigma, not active
+    escape = (1.0 - beta1) ** (infected.astype(np.float64) @ view.weighted)
+    if beta2 > 0.0 and simplices is not None and simplices.num_triples:
+        # only triangles whose other two members are infected in some run
+        # can be fully infected in one
+        any_run = infected.any(axis=0)
+        k = np.flatnonzero(any_run[simplices.other_a] & any_run[simplices.other_b])
+        row, j = np.nonzero(infected[:, simplices.other_a[k]]
+                            & infected[:, simplices.other_b[k]])
+        tri = np.bincount(row * n + simplices.centers[k[j]],
+                          weights=simplices.center_weight[k[j]],
+                          minlength=runs * n)
+        escape *= (1.0 - beta2) ** tri.reshape(runs, n)
+    newly = (status == S) & (rng.random((runs, n)) < 1.0 - escape)
+    recover = infected & (age >= gamma - 1)
+    age += infected & ~recover
+    age[newly] = 0
+    status += newly | recover  # S -> I and I -> R are both +1
 
 
 # ---------------------------------------------------------------------------
@@ -244,66 +163,43 @@ def step(state: EpidemicState, view: AdjacencyView,
          simplices: TwoSimplexSet | None, params: EpidemicParams,
          rng: np.random.Generator) -> EpidemicState:
     """Advance one synchronous step; returns a new state at t + 1."""
-    status = state.status.copy()
-    age = state.age.copy()
-    _step_numpy(status, age, view, simplices,
-                params.beta1, params.beta2, params.gamma, rng)
-    return EpidemicState(status=status, age=age, t=state.t + 1)
+    status = state.status[None, :].copy()
+    age = state.age[None, :].copy()
+    _advance(status, age, view, simplices,
+             params.beta1, params.beta2, params.gamma, rng)
+    return EpidemicState(status=status[0], age=age[0], t=state.t + 1)
 
 
 def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
-            params: EpidemicParams, runs: int = 100, impl: str = "auto",
+            params: EpidemicParams, runs: int = 100,
             gcc_size: int | None = None) -> OutbreakStats:
     """Independent Monte-Carlo runs from a fixed seed set.
 
-    Each run r draws from its own stream, spawned from params.rng_seed
-    with spawn key (r,), so results are reproducible and independent of
-    execution order.  impl is "auto", "python", or "numpy"; the kernels
-    realize the same process, differing only in rng consumption order.
-    Runs still infectious at t_max are flagged non-absorbed.
+    All runs advance together as the rows of one (runs, N) state, drawing
+    from a single generator seeded with params.rng_seed, so the same
+    inputs, seed and number of runs give the same samples.  Runs still
+    infectious at t_max are flagged non-absorbed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if impl not in ("auto", "python", "numpy"):
-        raise ValueError(f"unknown impl: {impl!r}")
     n = view.num_nodes
     seeds = [int(s) for s in seeds]
     if seeds and (min(seeds) < 0 or max(seeds) >= n):
         raise ValueError("seed id out of range")
     t_max = params.t_max if params.t_max is not None else 10 * n
-    if impl == "auto":
-        impl = "python" if n <= 64 else "numpy"
 
-    children = np.random.SeedSequence(params.rng_seed).spawn(runs)
-    sigma = np.zeros(runs, dtype=np.int64)
-    absorbed = np.zeros(runs, dtype=bool)
-
-    if impl == "python":
-        nbrs = _adjacency_lists(view)
-        tris = _triangle_lists(simplices, n)
-        for r in range(runs):
-            rng = np.random.Generator(np.random.PCG64(children[r]))
-            sigma[r], absorbed[r] = _run_once_python(
-                nbrs, tris, seeds, params.beta1, params.beta2,
-                params.gamma, t_max, rng)
-    else:
-        for r in range(runs):
-            rng = np.random.Generator(np.random.PCG64(children[r]))
-            status = np.zeros(n, dtype=np.int8)
-            age = np.zeros(n, dtype=np.int64)
-            if seeds:
-                status[seeds] = I
-            left = len(set(seeds))
-            t = 0
-            while left and t < t_max:
-                left = _step_numpy(status, age, view, simplices,
-                                   params.beta1, params.beta2,
-                                   params.gamma, rng)
-                t += 1
-            sigma[r] = int(np.count_nonzero(status == R))
-            absorbed[r] = left == 0
-
-    return OutbreakStats(runs=runs, sigma_samples=sigma, absorbed=absorbed,
+    rng = np.random.default_rng(params.rng_seed)
+    status = np.zeros((runs, n), dtype=np.int8)
+    age = np.zeros((runs, n), dtype=np.int64)
+    status[:, seeds] = I
+    t = 0
+    while t < t_max and (status == I).any():
+        _advance(status, age, view, simplices,
+                 params.beta1, params.beta2, params.gamma, rng)
+        t += 1
+    return OutbreakStats(runs=runs,
+                         sigma_samples=np.count_nonzero(status == R, axis=1),
+                         absorbed=~(status == I).any(axis=1),
                          gcc_size=gcc_size if gcc_size is not None else n)
 
 

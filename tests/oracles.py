@@ -193,7 +193,7 @@ def multinomial_violations(samples, probs, z=3.0):
     by more than z binomial standard deviations (plus 1 for continuity).
     """
     n = len(samples)
-    counts = Counter(int(s) for s in samples)
+    counts = Counter(np.asarray(samples).tolist())
     bad = []
     for s in counts:
         if s not in probs or probs[s] <= 0.0:

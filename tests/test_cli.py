@@ -177,11 +177,18 @@ def test_cli_error_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("doc", [
     {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60, "bogus": 1}},
-    {"dataset": "unused.txt", "runs": "10"},
-], ids=["unknown_generator_key", "string_runs"])
+    {"runs": "10"},
+    {"runs": 10.5},
+    {"gamma": 1.5},
+    {"runs": True},
+], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
+    # the other keys are valid and the dataset is readable, so only the
+    # malformed value can make the run exit 2
+    base = {"dataset": str(triangle_file(tmp_path)), "beta1": [0.5], "k_absolute": [1],
+            "runs": 2, "output_dir": str(tmp_path / "out")}
     cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps(doc))
+    cfgp.write_text(json.dumps(doc if "generator" in doc else {**base, **doc}))
     assert main(["experiment", "--config", str(cfgp)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") for line in err)

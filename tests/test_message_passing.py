@@ -307,6 +307,10 @@ def test_forest_radius_is_exactly_zero():
     # one cycle among a tree and an isolated node is no forest
     v4, _ = views(6, [[0, 1], [1, 2], [0, 2], [3, 4]])
     assert hs.leading_eigen(hs.build_wnb(v4, 0.9, 1.0)).lambda_c == pytest.approx(0.9)
+    # beta1 = 0 on a graph with cycles: the operator itself is zero
+    res5 = hs.leading_eigen(hs.build_wnb(v4, 0.0, 1.0))
+    assert res5.lambda_c == 0.0 and res5.residual == 0.0 and res5.converged
+    assert np.isfinite(res5.eigvec).all() and res5.eigvec.sum() == pytest.approx(1.0)
 
 
 def test_spectral_json_and_coo_dump(tmp_path):

@@ -57,7 +57,7 @@ def test_deterministic_front_advances_one_hop_per_step():
         [2, 2, 2, 1],
         [2, 2, 2, 2],
     ]
-    stats = hs.run_sir(v, ts, [0], params, runs=5, impl="numpy")
+    stats = hs.run_sir(v, ts, [0], params, runs=5)
     assert (stats.sigma_samples == 4).all()
 
 
@@ -76,11 +76,11 @@ def test_triangle_channel_needs_two_infected():
     params = hs.EpidemicParams(beta1=0.0, beta2=1.0)
     one = hs.run_sir(v, ts, [0], params, runs=10)
     assert (one.sigma_samples == 1).all()
-    two = hs.run_sir(v, ts, [0, 1], params, runs=10, impl="numpy")
+    two = hs.run_sir(v, ts, [0, 1], params, runs=10)
     assert (two.sigma_samples == 3).all()
 
 
-def test_sigma_distribution_matches_exact_enumeration_both_kernels():
+def test_sigma_distribution_matches_exact_enumeration():
     cases = [
         (4, [[0, 1, 2], [1, 2, 3]], 0.4, 0.7, 1),
         (4, [[0, 1], [1, 2], [2, 3]], 0.5, 0.0, 1),
@@ -92,10 +92,9 @@ def test_sigma_distribution_matches_exact_enumeration_both_kernels():
         probs = oracles.exact_sigma_distribution(n, edges, seeds, b1, b2, gamma)
         v, ts = views(n, edges)
         params = hs.EpidemicParams(beta1=b1, beta2=b2, gamma=gamma, rng_seed=17)
-        for impl in ("python", "numpy"):
-            stats = hs.run_sir(v, ts, seeds, params, runs=20000, impl=impl)
-            bad = oracles.multinomial_violations(stats.sigma_samples, probs)
-            assert not bad, f"{impl} on {edges}: {bad}"
+        stats = hs.run_sir(v, ts, seeds, params, runs=20000)
+        bad = oracles.multinomial_violations(stats.sigma_samples, probs)
+        assert not bad, f"{edges}: {bad}"
 
 
 def test_conservation_and_age_bounds():
@@ -178,15 +177,25 @@ def test_runs_truncated_at_t_max_are_flagged():
     assert (stats.sigma_samples == 0).all()
 
 
-def test_per_run_streams_reproducible_and_stable():
+def test_ensemble_stream_reproducible():
     v, ts = views(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
     params = hs.EpidemicParams(beta1=0.4, beta2=0.3, rng_seed=33)
     a = hs.run_sir(v, ts, [0], params, runs=30)
     b = hs.run_sir(v, ts, [0], params, runs=30)
     assert np.array_equal(a.sigma_samples, b.sigma_samples)
-    # prefix stability: adding runs never changes earlier runs
-    c = hs.run_sir(v, ts, [0], params, runs=60)
-    assert np.array_equal(c.sigma_samples[:30], a.sigma_samples)
+    assert np.array_equal(a.absorbed, b.absorbed)
+
+
+def test_single_run_equals_stepping_with_same_seed():
+    v, ts = views(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 3)])
+    for s in range(20):
+        params = hs.EpidemicParams(beta1=0.3, beta2=0.6, gamma=2, rng_seed=s)
+        sigma = hs.run_sir(v, ts, [0], params, runs=1).sigma_samples[0]
+        rng = np.random.default_rng(s)
+        state = hs.initial_state(6, [0])
+        while state.num_infected:
+            state = hs.step(state, v, ts, params, rng)
+        assert sigma == state.num_recovered
 
 
 def test_rescale_params_formula_and_errors():
