@@ -206,6 +206,10 @@ class PreparedInput:
     k1: float
     k2: float
 
+    def triangle_provenance(self) -> dict:
+        ts = self.simplices
+        return {"size_cap": ts.size_cap, "skipped_hyperedges": ts.skipped_hyperedges}
+
 
 def prepare_input(cfg: ExperimentConfig) -> PreparedInput:
     h = _load_raw(cfg)
@@ -317,7 +321,7 @@ def _experiment_cells(cfg: ExperimentConfig, inp: PreparedInput):
     return list(itertools.product(grid1, grid2, ks))
 
 
-def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell):
+def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, seed_sets: dict):
     """All methods of one parameter cell; any failure aborts the cell."""
     (mode1, v1), (mode2, v2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
@@ -335,9 +339,12 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell):
     try:
         b1, b2 = _cell_rates(mode1, v1, mode2, v2, inp.k1, inp.k2, cfg.gamma)
         for method in cfg.methods:
-            seeds = select_seeds(inp.view, method, k, sel_seed)
+            # only random reads sel_seed; the other methods select once per k
+            key = (method, k, sel_seed if method == "random" else None)
+            if key not in seed_sets:
+                seed_sets[key] = select_seeds(inp.view, method, k, sel_seed)
             stats = run_sir(
-                inp.view, inp.simplices, list(seeds.nodes),
+                inp.view, inp.simplices, list(seed_sets[key].nodes),
                 EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed),
                 runs=cfg.runs,
             )
@@ -363,14 +370,15 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     inp = prepare_input(cfg)
     cells = _experiment_cells(cfg, inp)
     outdir = _outdir(cfg)
+    seed_sets: dict = {}  # shared by this call's cells; racing workers may both fill a key
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(
-                lambda item: _run_cell(cfg, inp, item[0], item[1]),
+                lambda item: _run_cell(cfg, inp, item[0], item[1], seed_sets),
                 enumerate(cells)))
     else:
-        results = [_run_cell(cfg, inp, i, c) for i, c in enumerate(cells)]
+        results = [_run_cell(cfg, inp, i, c, seed_sets) for i, c in enumerate(cells)]
 
     rows = [row for cell_rows, _ in results for row in cell_rows]
     detail_dir = outdir / "details"
@@ -389,7 +397,8 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     _write_provenance(outdir, "experiment", cfg, outputs,
                       extra={"cells": len(cells), "failed_cells": len(errors),
                              "gcc_size": inp.work.num_nodes,
-                             "k1_mean": inp.k1, "k2_mean": inp.k2})
+                             "k1_mean": inp.k1, "k2_mean": inp.k2,
+                             **inp.triangle_provenance()})
     print(f"wrote {outdir / 'results.csv'}: {len(cells)} cells, "
           f"{len(rows)} rows, {len(errors)} failed")
     return 1 if errors else 0
@@ -475,7 +484,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     if cfg.dump_operator:
         op.dump_coo(outdir / "operator.txt")
         outputs.append("operator.txt")
-    _write_provenance(outdir, "spectrum", cfg, outputs)
+    _write_provenance(outdir, "spectrum", cfg, outputs, extra=inp.triangle_provenance())
     print(f"lambda_c={res.lambda_c:.10g} beta1_star={doc['beta1_star']}")
     return 0
 
@@ -491,7 +500,7 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
     _write_csv(outdir / "fig3.csv", "overlap_sweep",
                ("n_percent", "overlap_probability"), rows)
     _write_provenance(outdir, "fig3", cfg, ["fig3.csv"],
-                      extra={"gcc_size": inp.work.num_nodes})
+                      extra={"gcc_size": inp.work.num_nodes, **inp.triangle_provenance()})
     print(f"wrote {outdir / 'fig3.csv'} ({len(rows)} rows)")
     return 0
 

@@ -21,6 +21,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 DEFAULT_TRIPLE_EDGE_CAP = 25
+# (center, other_a, other_b, weight) rows of (triples.T; weights), one column per member as center
+_EXPAND_ROWS = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1], [3, 3, 3]])
 
 
 @dataclass
@@ -160,41 +162,37 @@ def enumerate_two_simplices(
     """
     if mode not in ("containment", "size3only"):
         raise ValueError(f"unknown two-simplex mode: {mode!r}")
-    counts: dict[tuple[int, int, int], int] = {}
+    members: dict[int, list[int]] = {}  # edge size -> members of its edges, flat
     skipped = 0
     for edge in h.hyperedges:
-        if len(edge) < 3:
+        s = len(edge)
+        if s < 3 or (mode == "size3only" and s != 3):
             continue
-        if mode == "size3only" and len(edge) != 3:
-            continue
-        if len(edge) > size_cap:
+        if s > size_cap:
             skipped += 1
-            continue
-        for tri in combinations(edge, 3):
-            counts[tri] = counts.get(tri, 0) + 1
-
-    n = h.num_nodes
-    if counts:
-        triples = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[tuple(t)] for t in triples], dtype=np.int64)
-    else:
-        triples = np.empty((0, 3), dtype=np.int64)
-        weights = np.empty(0, dtype=np.int64)
-
-    # Expand each triple once per member, grouped by center node.
-    centers = np.concatenate([triples[:, 0], triples[:, 1], triples[:, 2]])
-    other_a = np.concatenate([triples[:, 1], triples[:, 0], triples[:, 0]])
-    other_b = np.concatenate([triples[:, 2], triples[:, 2], triples[:, 1]])
-    center_weight = np.concatenate([weights, weights, weights])
-    order = np.argsort(centers, kind="stable")
-    centers = centers[order]
-    other_a = other_a[order]
-    other_b = other_b[order]
-    center_weight = center_weight[order]
-    center_ptr = np.searchsorted(centers, np.arange(n + 1))
-
-    node_triple_weight = np.zeros(n, dtype=np.int64)
-    np.add.at(node_triple_weight, centers, center_weight)
+        else:
+            members.setdefault(s, []).extend(edge)
+    # One row per (hyperedge, 3-subset); edges are sorted, so each row is too.
+    rows = [np.array(flat, dtype=np.int64).reshape(-1, s)
+            .take(list(combinations(range(s), 3)), axis=1).reshape(-1, 3)
+            for s, flat in members.items()]
+    rows = np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int64)
+    # Sort the rows; each run of equal rows is one triple, its length the weight.
+    rows = rows.take(np.lexsort(rows.T[::-1]), axis=0)
+    bounds = np.empty(len(rows) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    bounds[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
+    bounds = bounds.nonzero()[0]
+    triples = rows.take(bounds[:-1], axis=0)
+    weights = bounds[1:] - bounds[:-1]
+    # Expand each triple once per member, grouped by center; the stable sort
+    # keeps member-major order within a center.
+    expanded = np.concatenate((triples.T, weights[None])).take(_EXPAND_ROWS, axis=0).reshape(4, -1)
+    order = expanded[0].argsort(kind="stable")
+    centers, other_a, other_b, center_weight = expanded.take(order, axis=1)
+    center_ptr = centers.searchsorted(np.arange(h.num_nodes + 1))
+    # a node's triple weight counts the (hyperedge, 3-subset) rows holding it
+    node_triple_weight = np.bincount(rows.ravel(), minlength=h.num_nodes)
 
     return TwoSimplexSet(
         triples=triples,

@@ -49,6 +49,56 @@ def brute_triples_by_scan(num_nodes, hyperedges, size_cap=25):
     return w
 
 
+def brute_two_simplices(num_nodes, hyperedges, size_cap=25, mode="containment"):
+    """Every field of a two-simplex set, by a dict over per-edge 3-subsets.
+
+    Returns {field name: value} with the field names, values, row order
+    and dtypes of ``hypersir.TwoSimplexSet``; see that class for the
+    meaning of each field.
+    """
+    counts = {}
+    skipped = 0
+    for e in hyperedges:
+        e = tuple(sorted(e))
+        if len(e) < 3 or (mode == "size3only" and len(e) != 3):
+            continue
+        if len(e) > size_cap:
+            skipped += 1
+            continue
+        for t in combinations(e, 3):
+            counts[t] = counts.get(t, 0) + 1
+    triples = np.array(sorted(counts), dtype=np.int64).reshape(-1, 3)
+    weights = np.array([counts[tuple(t)] for t in triples.tolist()], dtype=np.int64)
+    centers, other_a, other_b, center_weight = [], [], [], []
+    for member in range(3):
+        for t, w in zip(triples.tolist(), weights.tolist()):
+            rest = t[:member] + t[member + 1:]
+            centers.append(t[member])
+            other_a.append(rest[0])
+            other_b.append(rest[1])
+            center_weight.append(w)
+    order = np.argsort(np.array(centers, dtype=np.int64), kind="stable")
+    centers = np.array(centers, dtype=np.int64)[order]
+    node_triple_weight = np.zeros(num_nodes, dtype=np.int64)
+    rows_per_center = np.zeros(num_nodes, dtype=np.int64)
+    for c, w in zip(centers.tolist(), np.array(center_weight, dtype=np.int64)[order].tolist()):
+        node_triple_weight[c] += w
+        rows_per_center[c] += 1
+    center_ptr = np.concatenate([[0], np.cumsum(rows_per_center)]).astype(np.int64)
+    return {
+        "triples": triples,
+        "weights": weights,
+        "centers": centers,
+        "other_a": np.array(other_a, dtype=np.int64)[order],
+        "other_b": np.array(other_b, dtype=np.int64)[order],
+        "center_weight": np.array(center_weight, dtype=np.int64)[order],
+        "center_ptr": center_ptr,
+        "node_triple_weight": node_triple_weight,
+        "skipped_hyperedges": skipped,
+        "size_cap": size_cap,
+    }
+
+
 def exact_sigma_distribution(num_nodes, hyperedges, seeds, beta1, beta2,
                              gamma=1, size_cap=25):
     """Exhaustive enumeration of every stochastic trajectory.

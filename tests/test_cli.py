@@ -1,11 +1,14 @@
 """Experiment harness: config handling, subcommands, output contracts."""
 
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import hypersir as hs
+import hypersir.cli as cli
 from hypersir.cli import (
     ExperimentConfig,
     fit_loglog_slope,
@@ -98,6 +101,29 @@ def test_experiment_deterministic_and_parallel_equal(tmp_path):
         assert code == 0
         texts.append((out / "results.csv").read_bytes())
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_experiment_seed_sets_shared_by_more_workers_than_cores(tmp_path):
+    # cells share one seed-set dict; frequent thread switches must not
+    # change any output byte
+    data = sf_file(tmp_path)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "6"):
+            out = tmp_path / f"w{workers}"
+            assert main(["experiment", "--dataset", str(data),
+                         "--lambda1", "0.6", "0.9", "1.2", "--lambda2", "0", "1",
+                         "--k-absolute", "2", "3", "--methods", "cia", "hadp", "degree",
+                         "random", "--runs", "2", "--workers", workers,
+                         "--output-dir", str(out)]) == 0
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*.csv"))})
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs[0]) == 1 + 12 * 4
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_cell_errors_isolated(tmp_path):
@@ -302,3 +328,84 @@ def test_provenance_alongside_outputs(tmp_path):
     assert prov["outputs"] == ["fig3.csv"]
     assert prov["config"]["dataset"] == str(tri)
     assert "package_version" in prov
+
+
+def count_calls(monkeypatch, name, key):
+    """Wrap ``hypersir.cli.<name>`` so each call tallies ``key(*args, **kw)``."""
+    real = getattr(cli, name)
+    calls = collections.Counter()
+
+    def counted(*args, **kw):
+        calls[key(*args, **kw)] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_experiment_selects_deterministic_seed_sets_once(tmp_path, monkeypatch):
+    data = sf_file(tmp_path)
+    ci_calls = count_calls(monkeypatch, "collective_influence", lambda view, b1, g: "cia")
+    baseline_calls = count_calls(monkeypatch, "baseline_select",
+                                 lambda view, k, method, rng_seed=0: (method, k, rng_seed))
+    run_seeds = []
+    real_run_sir = cli.run_sir
+
+    def recording_run_sir(view, simplices, seeds, params, runs):
+        run_seeds.append(tuple(seeds))
+        return real_run_sir(view, simplices, seeds, params, runs=runs)
+
+    monkeypatch.setattr(cli, "run_sir", recording_run_sir)
+    assert main(["experiment", "--dataset", str(data), "--lambda1", "0.8", "1.2", "1.6",
+                 "--lambda2", "0", "1", "--k-absolute", "2", "4",
+                 "--methods", "cia", "hadp", "random", "--runs", "3", "--rng-seed", "5",
+                 "--output-dir", str(tmp_path / "exp")]) == 0
+
+    cfg = load_config(None, {"dataset": str(data), "lambda1": [0.8, 1.2, 1.6],
+                             "lambda2": [0.0, 1.0], "k_absolute": [2, 4], "rng_seed": 5})
+    inp = cli.prepare_input(cfg)
+    cells = cli._experiment_cells(cfg, inp)
+    assert len(cells) == 12
+    hadp_per_k = collections.Counter()
+    random_per_cell = collections.Counter()
+    for (method, k, rng_seed), c in baseline_calls.items():
+        if method == "hadp":
+            hadp_per_k[k] += c
+        else:
+            random_per_cell[k, rng_seed] += c
+    assert ci_calls == {"cia": 2}
+    assert hadp_per_k == {2: 1, 4: 1}
+    expected_random, expected_seeds = collections.Counter(), []
+    for idx, (_, _, k) in enumerate(cells):
+        sel_seed = int(np.random.SeedSequence([5, idx]).generate_state(2)[1])
+        expected_random[k, sel_seed] += 1
+        expected_seeds += [cli.select_seeds(inp.view, m, k, sel_seed).nodes
+                           for m in ("cia", "hadp", "random")]
+    assert random_per_cell == expected_random
+    assert run_seeds == expected_seeds
+
+
+def test_bench_selects_afresh_on_every_repeat(tmp_path, monkeypatch):
+    ci_calls = count_calls(monkeypatch, "collective_influence",
+                           lambda view, b1, g: ("cia", view.num_nodes))
+    baseline_calls = count_calls(monkeypatch, "baseline_select",
+                                 lambda view, k, method, rng_seed=0: (method, view.num_nodes))
+    assert main(["bench", "--sizes", "60", "120", "--methods", "cia", "degree",
+                 "--k-percent", "5", "--bench-repeats", "2",
+                 "--output-dir", str(tmp_path / "b")]) == 0
+    counts = ci_calls + baseline_calls
+    assert len(counts) == 4                     # 2 methods x 2 sizes
+    assert set(counts.values()) == {2 + 1}      # repeats plus the warm-up
+
+
+def test_provenance_reports_triangle_size_cap(tmp_path):
+    p = tmp_path / "capped.txt"
+    p.write_text("0 1 2 3 4\n0 1 2\n2 5\n")
+    for cmd, extra in (("experiment", ["--beta1", "0.2", "--k-absolute", "1",
+                                       "--methods", "degree", "--runs", "2"]),
+                       ("spectrum", []), ("fig3", ["--n-grid", "50"])):
+        out = tmp_path / cmd
+        assert main([cmd, "--dataset", str(p), "--size-cap", "4",
+                     "--output-dir", str(out), *extra]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        assert (prov["size_cap"], prov["skipped_hyperedges"]) == (4, 1), cmd

@@ -1,5 +1,7 @@
 """Core structure tests: adjacency algebra, triangles, links, components."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -159,6 +161,46 @@ def test_size_cap_skips_and_reports():
     full = hs.enumerate_two_simplices(h, size_cap=30)
     assert full.skipped_hyperedges == 0
     assert full.weights.sum() == 4060 + 1
+
+
+def assert_two_simplices_match_oracle(h, **kw):
+    ts = hs.enumerate_two_simplices(h, **kw)
+    ref = oracles.brute_two_simplices(h.num_nodes, h.hyperedges, **kw)
+    for f in dataclasses.fields(hs.TwoSimplexSet):
+        got, want = getattr(ts, f.name), ref[f.name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            assert got.shape == want.shape and np.array_equal(got, want), f.name
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
+@pytest.mark.parametrize("kw", [{}, {"size_cap": 4}, {"mode": "size3only"}],
+                         ids=["containment", "size_cap_4", "size3only"])
+def test_two_simplices_match_dict_oracle(kw):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        h = random_hypergraph(rng, n, int(rng.integers(1, 25)), 8)
+        dupes = [h.hyperedges[i] for i in rng.integers(0, h.num_hyperedges, 5)]
+        assert_two_simplices_match_oracle(hs.Hypergraph(n, [*h.hyperedges, *dupes]), **kw)
+    assert_two_simplices_match_oracle(hs.Hypergraph(0), **kw)
+    assert_two_simplices_match_oracle(hs.Hypergraph(6), **kw)
+    assert_two_simplices_match_oracle(hs.Hypergraph(6, [(0,), (1, 2), (3, 4), (1, 2)]), **kw)
+
+
+def test_two_simplices_with_node_ids_past_packed_key_range():
+    # (i*N + j)*N + k overflows int64 once N > 2,097,151; here it wraps
+    # negative for i = 1,500,000, which would sort those triples first
+    n = 3_000_000
+    h = hs.Hypergraph(n, [(5, 2_500_000, 2_999_999),
+                          (1_500_000, 2_097_152, 2_500_000, 2_999_999),
+                          (5, 2_500_000, 2_999_999), (0, 2_999_998)])
+    assert_two_simplices_match_oracle(h)
+    ts = hs.enumerate_two_simplices(h)
+    assert ts.triples.tolist()[0] == [5, 2_500_000, 2_999_999]
+    assert ts.triples.tolist()[-1] == [2_097_152, 2_500_000, 2_999_999]
+    assert ts.weights.tolist() == [2, 1, 1, 1, 1]
 
 
 def test_triple_center_index_consistency():
