@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_io import dataset_stats, load_benson, load_hyperedge_list, save_hyperedge_list, write_stats_table
+from .data_io import (dataset_stats, load_benson, load_hyperedge_list, save_hyperedge_list,
+                      write_csv, write_stats_table)
 from .generators import GenSpec, generate
 from .hypergraph import (
     DEFAULT_TRIPLE_EDGE_CAP,
@@ -252,19 +253,6 @@ def _write_provenance(outdir: Path, command: str, cfg: ExperimentConfig,
         fh.write("\n")
 
 
-def _write_csv(path: Path, tag: str, columns: tuple[str, ...], rows) -> None:
-    def cell(v):
-        if isinstance(v, float):
-            return f"{v:.10g}"
-        return "" if v is None else str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={tag}.v1\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(row[c]) for c in columns) + "\n")
-
-
 def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> SeedSet:
     """Pick k seeds; the adaptive method scores at unit rates since its
     ranking does not depend on them."""
@@ -387,12 +375,9 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     for cell_idx, (_, details) in enumerate(results):
         for method, stats in details:
             dpath = detail_dir / f"cell{cell_idx:03d}_{method}.csv"
-            _write_csv(dpath, "run_detail", ("run", "sigma", "absorbed"), (
-                {"run": r, "sigma": int(stats.sigma_samples[r]),
-                 "absorbed": int(stats.absorbed[r])}
-                for r in range(stats.runs)))
+            stats.write_csv(dpath)
             outputs.append(f"details/{dpath.name}")
-    _write_csv(outdir / "results.csv", "experiment_results", RESULT_COLUMNS, rows)
+    write_csv(outdir / "results.csv", "experiment_results", RESULT_COLUMNS, rows)
     errors = [r for r in rows if r["error"]]
     _write_provenance(outdir, "experiment", cfg, outputs,
                       extra={"cells": len(cells), "failed_cells": len(errors),
@@ -448,9 +433,9 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         slope, intercept = fit_loglog_slope(cfg.sizes, times[method])
         fit_rows.append({"method": method, "slope": slope, "intercept": intercept})
     outdir = _outdir(cfg)
-    _write_csv(outdir / "bench.csv", "bench_times",
+    write_csv(outdir / "bench.csv", "bench_times",
                ("method", "n", "k", "seconds"), rows)
-    _write_csv(outdir / "bench_fit.csv", "bench_fit",
+    write_csv(outdir / "bench_fit.csv", "bench_fit",
                ("method", "slope", "intercept"), fit_rows)
     _write_provenance(outdir, "bench", cfg, ["bench.csv", "bench_fit.csv"],
                       extra={"fits": {r["method"]: r["slope"] for r in fit_rows}})
@@ -497,7 +482,7 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
              "overlap_probability": top_overlap_probability(inp.view, scores, nn)}
             for nn in cfg.n_grid]
     outdir = _outdir(cfg)
-    _write_csv(outdir / "fig3.csv", "overlap_sweep",
+    write_csv(outdir / "fig3.csv", "overlap_sweep",
                ("n_percent", "overlap_probability"), rows)
     _write_provenance(outdir, "fig3", cfg, ["fig3.csv"],
                       extra={"gcc_size": inp.work.num_nodes, **inp.triangle_provenance()})

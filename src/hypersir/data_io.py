@@ -1,11 +1,11 @@
-"""Loading, saving, and summarizing hypergraph datasets.
+"""Loading, saving, and summarizing hypergraph datasets; the CSV writer.
 
 Two text formats are supported: a plain hyperedge list (one edge per
 line, whitespace- or comma-separated labels) and the paired
 nverts/simplices layout used by several public hypergraph repositories.
-Node labels are remapped to dense ids in first-appearance order; the
-original labels ride along on the returned hypergraph as a
-``node_labels`` tuple.
+Node labels are remapped to dense ids in first-appearance order and kept
+in the hypergraph's ``node_labels`` field, which ``giant_component`` and
+deduplication carry along.  Every package CSV goes through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -28,19 +28,15 @@ __all__ = [
     "load_benson",
     "save_hyperedge_list",
     "dataset_stats",
+    "write_csv",
     "write_stats_table",
 ]
 
 
 def _build_labeled(edge_labels: list[list[str]]) -> Hypergraph:
-    # dense ids in first-appearance order; keep the label table around
-    ids: dict[str, int] = {}
-    edges = []
-    for edge in edge_labels:
-        edges.append([ids.setdefault(lab, len(ids)) for lab in edge])
-    h = Hypergraph(len(ids), edges)
-    h.node_labels = tuple(ids)
-    return h
+    ids: dict[str, int] = {}  # dense ids in first-appearance order
+    flat = [ids.setdefault(lab, len(ids)) for edge in edge_labels for lab in edge]
+    return Hypergraph.from_arrays(len(ids), [len(e) for e in edge_labels], flat, tuple(ids))
 
 
 def load_hyperedge_list(path) -> Hypergraph:
@@ -107,13 +103,25 @@ def save_hyperedge_list(h: Hypergraph, path) -> None:
     Uses the hypergraph's ``node_labels`` table when present, dense ids
     otherwise, so a loaded dataset round-trips with its original names.
     """
-    labels = getattr(h, "node_labels", None)
+    names = range(h.num_nodes) if h.node_labels is None else h.node_labels
     with open(path, "w") as fh:
         for edge in h.hyperedges:
-            if labels is None:
-                fh.write(" ".join(str(v) for v in edge) + "\n")
-            else:
-                fh.write(" ".join(str(labels[v]) for v in edge) + "\n")
+            fh.write(" ".join(str(names[v]) for v in edge) + "\n")
+
+
+def write_csv(path, tag: str, columns: tuple[str, ...], rows) -> None:
+    """Write ``# schema=<tag>.v1``, a header row, then one row per mapping in
+    ``rows``; floats as ``.10g``, None as an empty cell."""
+    def cell(v):
+        if isinstance(v, float):
+            return f"{v:.10g}"
+        return "" if v is None else str(v)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# schema={tag}.v1\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(row[c]) for c in columns) + "\n")
 
 
 @dataclass(frozen=True)
@@ -154,18 +162,8 @@ STATS_COLUMNS = (
 
 def write_stats_table(rows: dict[str, DatasetStats], path) -> None:
     """Write named stats as CSV, one dataset per row."""
-    with open(path, "w") as fh:
-        fh.write("# schema=" + ",".join(STATS_COLUMNS) + "\n")
-        for name, st in rows.items():
-            d = st.to_dict()
-            cells = [name] + [f"{d[c]:.6g}" if isinstance(d[c], float) else str(d[c])
-                              for c in STATS_COLUMNS[1:]]
-            fh.write(",".join(cells) + "\n")
-
-
-def _dedup_edges(h: Hypergraph) -> Hypergraph:
-    seen = dict.fromkeys(h.hyperedges)
-    return Hypergraph(h.num_nodes, list(seen))
+    write_csv(path, "dataset_stats", STATS_COLUMNS,
+              ({"dataset": name, **st.to_dict()} for name, st in rows.items()))
 
 
 def dataset_stats(
@@ -180,7 +178,7 @@ def dataset_stats(
     distinct-neighbor count, incident-hyperedge count, weighted pair
     degree, and total triangle weight.
     """
-    work = _dedup_edges(h) if dedup else h
+    work = Hypergraph(h.num_nodes, dict.fromkeys(h.hyperedges), h.node_labels) if dedup else h
     gcc, _ = giant_component(work)
     if gcc.num_nodes == 0:
         return DatasetStats(work.num_nodes, work.num_hyperedges, 0,

@@ -1,10 +1,12 @@
 """Hypergraph structure, incidence algebra, and derived sparse views.
 
 A hypergraph is a set of N nodes plus an ordered multiset of hyperedges
-(node subsets).  Everything downstream -- the contagion kernel, message
-passing, influence scores -- works off cached derived structure built
-here: the weighted adjacency matrix (shared-hyperedge counts), its binary
-skeleton, the triangle (2-simplex) tensor, and the directed-link index.
+(node subsets), stored as one CSR incidence (``edge_ptr``, ``members``)
+with the node labels of a loaded dataset as a field.  Everything
+downstream -- the contagion kernel, message passing, influence scores --
+works off derived structure built here from those arrays: the weighted
+adjacency matrix (shared-hyperedge counts), its binary skeleton, the
+triangle (2-simplex) tensor, and the directed-link index.
 
 Duplicate hyperedges are allowed and meaningful: they raise the entries
 of the weighted adjacency and of the triangle tensor.
@@ -13,7 +15,7 @@ of the weighted adjacency and of the triangle tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, compress, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,48 +27,73 @@ DEFAULT_TRIPLE_EDGE_CAP = 25
 _EXPAND_ROWS = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1], [3, 3, 3]])
 
 
-@dataclass
+@dataclass(eq=False, init=False)
 class Hypergraph:
-    """Immutable node set plus hyperedge multiset.
+    """Node set plus hyperedge multiset, stored as a CSR incidence.
 
-    Node ids are dense integers in [0, num_nodes).  Hyperedges are stored
-    as sorted tuples; the multiset order is preserved as given.
+    Node ids are dense integers in [0, num_nodes).  Hyperedge ``a`` is
+    ``members[edge_ptr[a]:edge_ptr[a + 1]]``, sorted; the multiset order
+    is preserved as given.  ``node_labels[i]``, when present, names node i.
     """
 
     num_nodes: int
-    hyperedges: tuple[tuple[int, ...], ...]
+    edge_ptr: np.ndarray   # (M+1,) int64, read-only
+    members: np.ndarray    # (edge_ptr[-1],) int64, sorted within each hyperedge, read-only
+    node_labels: tuple | None
 
-    def __init__(self, num_nodes: int, hyperedges: Iterable[Sequence[int]] = ()):
+    def __init__(self, num_nodes: int, hyperedges: Iterable[Sequence[int]] = (),
+                 node_labels: Sequence | None = None):
+        edges = list(hyperedges)
+        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        self._store(num_nodes, sizes, np.fromiter(chain.from_iterable(edges), dtype=np.int64),
+                    node_labels)
+
+    @classmethod
+    def from_arrays(cls, num_nodes: int, sizes, members, node_labels: Sequence | None = None):
+        """Hypergraph whose hyperedge ``a`` is the next ``sizes[a]`` entries of ``members``."""
+        h = cls.__new__(cls)
+        h._store(num_nodes, np.asarray(sizes, dtype=np.int64),
+                 np.asarray(members, dtype=np.int64), node_labels)
+        return h
+
+    def _store(self, num_nodes, sizes, members, node_labels) -> None:
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
+        if (sizes < 0).any() or sizes.sum() != len(members):
+            raise ValueError("hyperedge sizes must be nonnegative and sum to the member count")
+        if node_labels is not None and len(node_labels) != num_nodes:
+            raise ValueError(f"{len(node_labels)} node labels for {num_nodes} nodes")
+        edge_of = np.repeat(np.arange(len(sizes)), sizes)
+        members = members[np.lexsort((members, edge_of))]
+        texts = ("is empty", f"has node id outside [0, {num_nodes})", "contains a duplicate node id")
+        bad = np.zeros((len(texts), len(sizes)), dtype=bool)  # per hyperedge, test by test
+        bad[0] = sizes == 0
+        bad[1, edge_of[(members < 0) | (members >= num_nodes)]] = True
+        bad[2, edge_of[1:][(members[1:] == members[:-1]) & (edge_of[1:] == edge_of[:-1])]] = True
+        if bad.any():
+            pos = int(bad.any(axis=0).argmax())
+            raise ValueError(f"hyperedge {pos} {texts[bad[:, pos].argmax()]}")
         self.num_nodes = int(num_nodes)
-        normalized = []
-        for pos, edge in enumerate(hyperedges):
-            members = tuple(sorted(int(v) for v in edge))
-            if not members:
-                raise ValueError(f"hyperedge {pos} is empty")
-            if members[0] < 0 or members[-1] >= self.num_nodes:
-                raise ValueError(f"hyperedge {pos} has node id outside [0, {self.num_nodes})")
-            if len(set(members)) != len(members):
-                raise ValueError(f"hyperedge {pos} contains a duplicate node id")
-            normalized.append(members)
-        self.hyperedges = tuple(normalized)
+        self.edge_ptr = np.concatenate(([0], sizes.cumsum()))
+        self.members = members
+        self.edge_ptr.flags.writeable = self.members.flags.writeable = False
+        self.node_labels = None if node_labels is None else tuple(node_labels)
 
     @property
     def num_hyperedges(self) -> int:
-        return len(self.hyperedges)
+        return len(self.edge_ptr) - 1
 
-    def incidence(self) -> sp.csr_matrix:
+    @property
+    def hyperedges(self) -> tuple[tuple[int, ...], ...]:
+        """The hyperedges as sorted tuples of node ids, in multiset order."""
+        flat = self.members.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in pairwise(self.edge_ptr.tolist()))
+
+    def incidence(self) -> sp.csc_matrix:
         """N x M incidence matrix (1 where node belongs to hyperedge)."""
-        rows, cols = [], []
-        for alpha, edge in enumerate(self.hyperedges):
-            rows.extend(edge)
-            cols.extend([alpha] * len(edge))
-        data = np.ones(len(rows), dtype=np.int64)
-        return sp.csr_matrix(
-            (data, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(self.num_nodes, self.num_hyperedges),
-        )
+        ones = np.ones(len(self.members), dtype=np.int64)
+        return sp.csr_matrix((ones, self.members, self.edge_ptr),
+                             shape=(self.num_hyperedges, self.num_nodes)).T
 
 
 @dataclass
@@ -106,8 +133,8 @@ def build_adjacency(h: Hypergraph) -> AdjacencyView:
         shape=weighted.shape,
     )
     node_degree = np.asarray(binary.sum(axis=1)).ravel().astype(np.int64)
-    hyperdegree = np.asarray(inc.sum(axis=1)).ravel().astype(np.int64)
-    edge_sizes = np.asarray(inc.sum(axis=0)).ravel().astype(np.int64)
+    hyperdegree = np.bincount(h.members, minlength=h.num_nodes)
+    edge_sizes = np.diff(h.edge_ptr)
     weighted_degree = np.asarray(weighted.sum(axis=1)).ravel().astype(np.int64)
     return AdjacencyView(
         num_nodes=h.num_nodes,
@@ -162,20 +189,15 @@ def enumerate_two_simplices(
     """
     if mode not in ("containment", "size3only"):
         raise ValueError(f"unknown two-simplex mode: {mode!r}")
-    members: dict[int, list[int]] = {}  # edge size -> members of its edges, flat
-    skipped = 0
-    for edge in h.hyperedges:
-        s = len(edge)
-        if s < 3 or (mode == "size3only" and s != 3):
-            continue
-        if s > size_cap:
-            skipped += 1
-        else:
-            members.setdefault(s, []).extend(edge)
+    sizes = np.diff(h.edge_ptr)
+    counted = sizes == 3 if mode == "size3only" else sizes >= 3
+    skipped = int(np.count_nonzero(counted & (sizes > size_cap)))
+    counted &= sizes <= size_cap
+    starts = h.edge_ptr[:-1]
     # One row per (hyperedge, 3-subset); edges are sorted, so each row is too.
-    rows = [np.array(flat, dtype=np.int64).reshape(-1, s)
+    rows = [h.members[starts[counted & (sizes == s)][:, None] + np.arange(s)]
             .take(list(combinations(range(s), 3)), axis=1).reshape(-1, 3)
-            for s, flat in members.items()]
+            for s in np.unique(sizes[counted]).tolist()]
     rows = np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int64)
     # Sort the rows; each run of equal rows is one triple, its length the weight.
     rows = rows.take(np.lexsort(rows.T[::-1]), axis=0)
@@ -281,20 +303,18 @@ def giant_component(h: Hypergraph) -> tuple[Hypergraph, np.ndarray]:
     nodes; ones that become empty are dropped.
     """
     if h.num_nodes == 0:
-        return Hypergraph(0, ()), np.empty(0, dtype=np.int64)
-    view = build_adjacency(h)
-    n_comp, labels = connected_components(view.binary, directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-    best = int(np.argmax(sizes))
-    keep = labels == best
+        return Hypergraph(0, (), h.node_labels), np.empty(0, dtype=np.int64)
+    inc = h.incidence()
+    n_comp, comp = connected_components(inc @ inc.T, directed=False)
+    keep = comp == np.bincount(comp, minlength=n_comp).argmax()
+    n_keep = int(keep.sum())
     remap = np.full(h.num_nodes, -1, dtype=np.int64)
-    remap[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-    new_edges = []
-    for edge in h.hyperedges:
-        members = [int(remap[v]) for v in edge if keep[v]]
-        if members:
-            new_edges.append(members)
-    return Hypergraph(int(keep.sum()), new_edges), remap
+    remap[keep] = np.arange(n_keep, dtype=np.int64)
+    kept = keep[h.members]
+    sizes = np.bincount(np.repeat(np.arange(h.num_hyperedges), np.diff(h.edge_ptr))[kept],
+                        minlength=h.num_hyperedges)
+    names = None if h.node_labels is None else tuple(compress(h.node_labels, keep))
+    return Hypergraph.from_arrays(n_keep, sizes[sizes > 0], remap[h.members[kept]], names), remap
 
 
 def simplex_densities(

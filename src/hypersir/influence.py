@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import write_csv
 from .hypergraph import AdjacencyView
 
 __all__ = [
@@ -52,10 +53,8 @@ class CiScores:
         return len(self.scores)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=node_id,score\n")
-            for i, s in enumerate(self.scores):
-                fh.write(f"{i},{s:.17g}\n")
+        write_csv(path, "ci_scores", ("node_id", "score"),
+                  ({"node_id": i, "score": s} for i, s in enumerate(self.scores.tolist())))
 
 
 @dataclass
@@ -77,10 +76,8 @@ class SeedSet:
         return iter(self.nodes)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=rank,node_id\n")
-            for r, v in enumerate(self.nodes):
-                fh.write(f"{r},{v}\n")
+        write_csv(path, "seed_set", ("rank", "node_id"),
+                  ({"rank": r, "node_id": v} for r, v in enumerate(self.nodes)))
 
 
 def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> CiScores:

@@ -15,13 +15,13 @@ uniform draw per node and run; ``step`` runs it on a single row.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import write_csv
 from .hypergraph import AdjacencyView, TwoSimplexSet
 
 S, I, R = 0, 1, 2
@@ -112,12 +112,9 @@ class OutbreakStats:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("# schema=run_id,sigma,absorbed_flag\n")
-            writer = csv.writer(fh)
-            writer.writerow(["run_id", "sigma", "absorbed_flag"])
-            for r in range(self.runs):
-                writer.writerow([r, int(self.sigma_samples[r]), int(self.absorbed[r])])
+        write_csv(path, "run_detail", ("run", "sigma", "absorbed"), (
+            {"run": r, "sigma": int(self.sigma_samples[r]), "absorbed": int(self.absorbed[r])}
+            for r in range(self.runs)))
 
     def write_summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

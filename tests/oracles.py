@@ -13,6 +13,56 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb, sqrt
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
+
+
+def normalize_hyperedges(num_nodes, hyperedges):
+    """Sorted member tuples, validated edge by edge in input order.
+
+    Raises ValueError naming the first bad hyperedge and, within it, the
+    first failed test: empty, node id out of range, repeated node id.
+    """
+    normalized = []
+    for pos, edge in enumerate(hyperedges):
+        members = tuple(sorted(int(v) for v in edge))
+        if not members:
+            raise ValueError(f"hyperedge {pos} is empty")
+        if members[0] < 0 or members[-1] >= num_nodes:
+            raise ValueError(f"hyperedge {pos} has node id outside [0, {num_nodes})")
+        if len(set(members)) != len(members):
+            raise ValueError(f"hyperedge {pos} contains a duplicate node id")
+        normalized.append(members)
+    return tuple(normalized)
+
+
+def dense_incidence(num_nodes, hyperedges):
+    """N x M 0/1 membership matrix, one column per hyperedge."""
+    inc = np.zeros((num_nodes, len(hyperedges)), dtype=np.int64)
+    for alpha, edge in enumerate(hyperedges):
+        for v in edge:
+            inc[v, alpha] = 1
+    return inc
+
+
+def giant_component_by_remap(num_nodes, hyperedges):
+    """(kept node count, restricted hyperedges, old-to-new id map).
+
+    The largest component of the dense pairwise adjacency (the lowest
+    component label wins ties); hyperedges are remapped member by member
+    and dropped when no member survives.
+    """
+    if num_nodes == 0:
+        return 0, (), np.empty(0, dtype=np.int64)
+    _, labels = connected_components(pairwise_adjacency(num_nodes, hyperedges), directed=False)
+    keep = labels == np.argmax(np.bincount(labels))
+    remap = np.full(num_nodes, -1, dtype=np.int64)
+    remap[keep] = np.arange(int(keep.sum()), dtype=np.int64)
+    new_edges = []
+    for edge in hyperedges:
+        members = tuple(int(remap[v]) for v in edge if keep[v])
+        if members:
+            new_edges.append(members)
+    return int(keep.sum()), tuple(new_edges), remap
 
 
 def pairwise_adjacency(num_nodes, hyperedges):

@@ -2,7 +2,9 @@
 
 import collections
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,9 +278,9 @@ def test_stats_command_reports_both_conventions(tmp_path):
     assert main(["stats", "--dataset", str(p), "--name", "dup",
                  "--output-dir", str(out)]) == 0
     lines = (out / "stats.csv").read_text().splitlines()
-    assert len(lines) == 3
-    retained = lines[1].split(",")
-    deduped = lines[2].split(",")
+    assert len(lines) == 4 and lines[0] == "# schema=dataset_stats.v1"
+    retained = lines[2].split(",")
+    deduped = lines[3].split(",")
     assert retained[0] == "dup" and deduped[0] == "dup/dedup"
     assert retained[2] == "2" and deduped[2] == "1"
     doc = json.loads((out / "stats.json").read_text())
@@ -409,3 +411,15 @@ def test_provenance_reports_triangle_size_cap(tmp_path):
                      "--output-dir", str(out), *extra]) == 0
         prov = json.loads((out / "provenance.json").read_text())
         assert (prov["size_cap"], prov["skipped_hyperedges"]) == (4, 1), cmd
+
+
+def test_readme_generate_and_spectrum_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [ln for ln in readme.replace("\\\n", " ").splitlines()
+             if ln.startswith(("hypersir generate ", "hypersir spectrum "))]
+    assert [ln.split()[1] for ln in lines] == ["generate", "spectrum"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HYPERSIR_OUTPUT_ROOT", str(tmp_path))
+    for ln in lines:
+        assert main(shlex.split(ln)[1:]) == 0, (ln, capsys.readouterr().err)
+    assert (tmp_path / "spectrum.json").exists()

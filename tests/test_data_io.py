@@ -115,6 +115,22 @@ def test_round_trip_keeps_labels(tmp_path):
     assert hs.load_hyperedge_list(q).num_nodes == 4
 
 
+def test_labels_survive_giant_component_round_trip(tmp_path):
+    p = write(tmp_path, "h.txt", "x y\na b c\nc d\n")
+    gcc, remap = hs.giant_component(hs.load_hyperedge_list(p))
+    assert gcc.node_labels == ("a", "b", "c", "d") and remap.tolist() == [-1, -1, 0, 1, 2, 3]
+    q = tmp_path / "gcc.txt"
+    hs.save_hyperedge_list(gcc, q)
+    assert q.read_text() == "a b c\nc d\n"
+    back = hs.load_hyperedge_list(q)
+    assert [[back.node_labels[v] for v in e] for e in back.hyperedges] == [["a", "b", "c"], ["c", "d"]]
+
+
+def test_node_labels_must_name_every_node():
+    with pytest.raises(ValueError, match="2 node labels for 3 nodes"):
+        hs.Hypergraph(3, [(0, 1, 2)], node_labels=("a", "b"))
+
+
 def test_stats_single_triple():
     h = hs.Hypergraph(3, [[0, 1, 2]])
     st = hs.dataset_stats(h)
@@ -182,6 +198,7 @@ def test_stats_json_and_table(tmp_path):
     tp = tmp_path / "table.csv"
     hs.write_stats_table({"toy": st, "toy2": st}, tp)
     lines = tp.read_text().splitlines()
-    assert lines[0].startswith("# schema=dataset,n,m,gcc_size")
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "toy"
+    assert lines[0] == "# schema=dataset_stats.v1"
+    assert lines[1] == ("dataset,n,m,gcc_size,mean_node_degree,mean_hyperdegree,"
+                        "k1_mean,k2_mean,skipped_large_hyperedges,deduplicated")
+    assert lines[2:] == ["toy,3,1,3,2,1,2,1,0,False", "toy2,3,1,3,2,1,2,1,0,False"]

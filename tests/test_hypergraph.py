@@ -1,5 +1,6 @@
 """Core structure tests: adjacency algebra, triangles, links, components."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -45,6 +46,62 @@ def test_duplicate_hyperedges_are_kept():
     v = hs.build_adjacency(h)
     assert v.weighted[0, 1] == 2
     assert v.binary[0, 1] == 1
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), ()],
+    [(0, 1), (0, 3)],
+    [(0, 1), (-1, 0)],
+    [(1, 1, 2)],
+    [(0, 1), (2, 2, 5), ()],   # out of range and repeated: range is tested first
+    [(0, 0), (5,), ()],        # the first bad hyperedge is named, whatever its fault
+    [(2, 1, 0), (0,), (1, 2), (2, 2)],
+])
+def test_invalid_hyperedge_names_same_position_as_per_edge_oracle(edges):
+    with pytest.raises(ValueError) as want:
+        oracles.normalize_hyperedges(3, edges)
+    with pytest.raises(ValueError) as got:
+        hs.Hypergraph(3, edges)
+    assert str(got.value) == str(want.value)
+    flat = [v for e in edges for v in e]
+    with pytest.raises(ValueError) as got:
+        hs.Hypergraph.from_arrays(3, [len(e) for e in edges], flat)
+    assert str(got.value) == str(want.value)
+
+
+def test_array_core_matches_per_edge_oracle():
+    rng = np.random.default_rng(2024)
+    seen = collections.Counter()
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        edges = [rng.choice(n, int(rng.integers(1, min(8, n) + 1)), replace=False).tolist()
+                 for _ in range(0 if trial < 2 else int(rng.integers(1, 20)))]
+        edges += [edges[i] for i in rng.integers(0, len(edges), len(edges) // 3)] if edges else []
+        h = hs.Hypergraph(n, edges)
+        want = oracles.normalize_hyperedges(n, edges)
+        assert h.hyperedges == want
+        assert np.array_equal(h.incidence().toarray(), oracles.dense_incidence(n, want))
+        assert np.array_equal(hs.build_adjacency(h).edge_sizes, [len(e) for e in want])
+        assert h.edge_ptr.dtype == h.members.dtype == np.int64
+        g, remap = hs.giant_component(h)
+        kept, gcc_edges, want_remap = oracles.giant_component_by_remap(n, want)
+        assert (g.num_nodes, g.hyperedges) == (kept, gcc_edges)
+        assert np.array_equal(remap, want_remap) and remap.dtype == np.int64
+        seen["no hyperedges"] += not edges
+        seen["duplicates"] += len(set(want)) < len(want)
+        seen["size 8"] += any(len(e) == 8 for e in want)
+        seen["isolated node"] += len({v for e in want for v in e}) < n
+        seen["emptied by gcc"] += len(gcc_edges) < len(want)
+    assert min(seen.values()) >= 2 and len(seen) == 5, seen
+
+
+def test_members_are_read_only():
+    h = hs.Hypergraph(3, [(2, 0), (1, 2)])
+    assert h.members.tolist() == [0, 2, 1, 2] and h.edge_ptr.tolist() == [0, 2, 4]
+    with pytest.raises(ValueError):
+        h.members[0] = 1
+    with pytest.raises(ValueError):
+        h.edge_ptr[1] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -237,13 +237,12 @@ def test_seed_set_csv_and_validation(tmp_path):
     p = tmp_path / "seeds.csv"
     seeds.write_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == "# schema=rank,node_id"
-    assert lines[1] == "0,0"
+    assert lines[:3] == ["# schema=seed_set.v1", "rank,node_id", "0,0"]
     with pytest.raises(ValueError):
         hs.SeedSet(nodes=(1, 1), method="degree")
     ci = hs.collective_influence(v, 0.5, 1)
     cp = tmp_path / "scores.csv"
     ci.write_csv(cp)
     rows = cp.read_text().splitlines()
-    assert rows[0] == "# schema=node_id,score"
-    assert len(rows) == 5
+    assert rows[:2] == ["# schema=ci_scores.v1", "node_id,score"]
+    assert rows[2:] == [f"{i},{s:.10g}" for i, s in enumerate(ci.scores)]

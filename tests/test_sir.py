@@ -231,9 +231,10 @@ def test_outbreak_stats_serialization(tmp_path):
                        runs=12)
     csv_path = tmp_path / "runs.csv"
     stats.write_csv(csv_path)
+    assert b"\r" not in csv_path.read_bytes()  # one line ending throughout
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("# schema=")
-    assert lines[1] == "run_id,sigma,absorbed_flag"
+    assert lines[0] == "# schema=run_detail.v1"
+    assert lines[1] == "run,sigma,absorbed"
     assert len(lines) == 2 + 12
     json_path = tmp_path / "summary.json"
     stats.write_summary_json(json_path)
