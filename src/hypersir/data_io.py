@@ -102,8 +102,14 @@ def save_hyperedge_list(h: Hypergraph, path) -> None:
 
     Uses the hypergraph's ``node_labels`` table when present, dense ids
     otherwise, so a loaded dataset round-trips with its original names.
+    A label that :func:`load_hyperedge_list` would read back differently
+    (empty, holding a comma or whitespace, or starting with ``#``) raises
+    ``ValueError`` before anything is written.
     """
     names = range(h.num_nodes) if h.node_labels is None else h.node_labels
+    for lab in map(str, h.node_labels or ()):
+        if not lab or lab.startswith("#") or "," in lab or any(c.isspace() for c in lab):
+            raise ValueError(f"node label {lab!r} does not survive a hyperedge-list round trip")
     with open(path, "w") as fh:
         for edge in h.hyperedges:
             fh.write(" ".join(str(names[v]) for v in edge) + "\n")

@@ -3,12 +3,16 @@
 Messages live on directed links of the binary adjacency: the value for
 link (i -> j) is the state distribution of node i computed with node j
 virtually removed, which suppresses backtracking infection and makes
-the scheme exact on pairwise trees.  Linearizing the infected block of
-the update around the all-susceptible point yields a weighted
-non-backtracking operator; its spectral radius decides whether a
-vanishing infection seed grows or dies, and downstream influence
-scoring reuses the same operator.  It is applied matrix-free; a CSR
-form is built only for small-instance oracles and ``--dump-operator``.
+the scheme exact on pairwise trees.  Escape products are taken in the
+log domain: one sum per node, the cavity as that sum minus the link's
+own factors, and exact-zero factors counted as integers beside it, so
+neither underflow nor certain transmission can divide 0 by 0.
+Linearizing the infected block of the update around the
+all-susceptible point yields a weighted non-backtracking operator; its
+spectral radius decides whether a vanishing infection seed grows or
+dies, and downstream influence scoring reuses the same operator.  It
+is applied matrix-free; a CSR form is built only for small-instance
+oracles and ``--dump-operator``.
 """
 
 from __future__ import annotations
@@ -45,45 +49,26 @@ __all__ = [
 ]
 
 
-def _segment_prod(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment product for CSR-style pointers; empty segments give 1."""
-    out = np.ones(len(ptr) - 1, dtype=np.float64)
-    nonempty = ptr[:-1] < ptr[1:]
-    if values.size and nonempty.any():
-        out[nonempty] = np.multiply.reduceat(values, ptr[:-1][nonempty])
-    return out
-
-
-def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sum for CSR-style pointers; empty segments give 0."""
-    out = np.zeros(len(ptr) - 1, dtype=values.dtype)
-    nonempty = ptr[:-1] < ptr[1:]
-    if values.size and nonempty.any():
-        out[nonempty] = np.add.reduceat(values, ptr[:-1][nonempty])
-    return out
-
-
 @dataclass
 class _CavityPlumb:
     """Precomputed index arrays tying triangles to the link index.
 
-    ``tlink_a/tlink_b`` give, per expanded triple row (center i, others
-    m and l), the ids of links (m -> i) and (l -> i) whose infection
-    messages feed the triangle factor.  ``exc_ptr/exc_tid`` list, per
-    equation link (i -> j), the expanded rows centered at i that involve
-    j and must drop out of that link's cavity product.
+    Per expanded triple row (center i, others m and l), ``tlink_a`` and
+    ``tlink_b`` give the ids of links (m -> i) and (l -> i) whose
+    infection messages feed the triangle factor, and ``excl_a`` and
+    ``excl_b`` the ids of their reverses (i -> m) and (i -> l), the two
+    links whose cavity products leave that row out.
     """
 
     tlink_a: np.ndarray
     tlink_b: np.ndarray
-    exc_ptr: np.ndarray
-    exc_tid: np.ndarray
-    center_ptr: np.ndarray
+    excl_a: np.ndarray
+    excl_b: np.ndarray
+    centers: np.ndarray
     center_weight: np.ndarray
 
 
 def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet | None) -> _CavityPlumb:
-    num_links = links.num_links
     if simplices is None:
         simplices = enumerate_two_simplices(Hypergraph(links.num_nodes))
     try:
@@ -91,20 +76,12 @@ def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet | None) -> _CavityPl
         tlink_b = links.link_ids(simplices.other_b, simplices.centers)
     except KeyError:
         raise ValueError("two-simplex set references pairs absent from the link index") from None
-    rows = np.arange(len(simplices.centers), dtype=np.int64)
-    # Triple (i, m, l) leaves the cavity products of links (i -> m) and
-    # (i -> l); those are the reverses of the message-feeding links.
-    exc_links = np.concatenate([links.reverse[tlink_a], links.reverse[tlink_b]])
-    exc_rows = np.concatenate([rows, rows])
-    order = np.argsort(exc_links, kind="stable")
-    exc_tid = exc_rows[order]
-    exc_ptr = np.searchsorted(exc_links[order], np.arange(num_links + 1)).astype(np.int64)
     return _CavityPlumb(
         tlink_a=tlink_a,
         tlink_b=tlink_b,
-        exc_ptr=exc_ptr,
-        exc_tid=exc_tid,
-        center_ptr=simplices.center_ptr,
+        excl_a=links.reverse[tlink_a],
+        excl_b=links.reverse[tlink_b],
+        centers=simplices.centers,
         center_weight=simplices.center_weight,
     )
 
@@ -146,6 +123,8 @@ class MessageState:
         for name, lo in (("s_msg", self.s_msg), ("i_msg", self.i_msg),
                          ("r_msg", self.r_msg), ("node_s", self.node_s),
                          ("node_i", self.node_i), ("node_r", self.node_r)):
+            if not np.isfinite(lo).all():
+                raise ValueError(f"{name} has non-finite entries")
             if lo.size and (lo.min() < -tol or lo.max() > 1.0 + tol):
                 raise ValueError(f"{name} leaves [0, 1]")
         link_sum = self.s_msg + self.i_msg + self.r_msg
@@ -197,51 +176,59 @@ def initial_messages(
     return state
 
 
+def _log_factors(x: np.ndarray, power: np.ndarray):
+    """``power * log(1 - x)`` and the mask of exact-zero factors (x >= 1).
+
+    Zero factors enter the log sums as log 1 (``log1p(-1) * 0`` is NaN)
+    and are counted by the caller instead; the mask is None when there
+    are none.
+    """
+    zero = x >= 1.0
+    if not zero.any():
+        return power * np.log1p(-x), None
+    return power * np.log1p(-np.where(zero, 0.0, x)), zero
+
+
 def _escape_products(msgs: MessageState, params: EpidemicParams):
     """Cavity and full per-step no-infection probabilities.
 
     Returns (esc_cav, esc_full): esc_cav[e] is the probability that the
     source of link e escapes infection this step with the link's target
-    removed; esc_full[i] is the same without any removal.  Exclusions
-    are exact divisions with explicit zero bookkeeping, so factors equal
-    to 0 (certain transmission) never poison the quotient.
+    removed; esc_full[i] is the same without any removal.  Factors are
+    summed as logs: the full sum per node by one ``bincount`` per
+    channel, the cavity as that sum minus the link's own factors (its
+    reverse link's pairwise factor and the triangle rows holding its
+    target).  Factors equal to 0 (certain transmission) are counted as
+    integers the same way and force an exact 0 after the ``exp``.
     """
     links = msgs.links
     plumb = msgs._plumb
     if plumb is None:
         raise ValueError("message state lacks cavity plumbing; build it via initial_messages")
-    src = links.src
+    n, num_links = links.num_nodes, links.num_links
 
-    f = (1.0 - params.beta1 * msgs.i_msg) ** links.weight
-    zf = f == 0.0
-    f_in = np.where(zf, 1.0, f)[links.in_ids]
-    z_in = zf[links.in_ids].astype(np.int64)
-    prod_in = _segment_prod(f_in, links.in_ptr)
-    zeros_in = _segment_sum(z_in, links.in_ptr)
-
-    rev = links.reverse
-    z_rev = zf[rev]
-    cav_zeros = zeros_in[src] - z_rev
-    pair_cav = np.where(
-        cav_zeros > 0, 0.0, prod_in[src] / np.where(z_rev, 1.0, f[rev])
-    )
-    pair_full = np.where(zeros_in > 0, 0.0, prod_in)
-
-    if params.beta2 > 0.0 and len(plumb.center_weight):
-        g = (1.0 - params.beta2 * msgs.i_msg[plumb.tlink_a] * msgs.i_msg[plumb.tlink_b]) \
-            ** plumb.center_weight
-        zg = g == 0.0
-        gnz = np.where(zg, 1.0, g)
-        zgi = zg.astype(np.int64)
-        cent_prod = _segment_prod(gnz, plumb.center_ptr)
-        cent_zeros = _segment_sum(zgi, plumb.center_ptr)
-        excl_prod = _segment_prod(gnz[plumb.exc_tid], plumb.exc_ptr)
-        excl_zeros = _segment_sum(zgi[plumb.exc_tid], plumb.exc_ptr)
-        tri_zeros = cent_zeros[src] - excl_zeros
-        tri_cav = np.where(tri_zeros > 0, 0.0, cent_prod[src] / excl_prod)
-        tri_full = np.where(cent_zeros > 0, 0.0, cent_prod)
-        return pair_cav * tri_cav, pair_full * tri_full
-    return pair_cav, pair_full
+    logf, zf = _log_factors(params.beta1 * msgs.i_msg, links.weight)
+    full = np.bincount(links.dst, logf, minlength=n)
+    own = logf[links.reverse]
+    # (per-node, per-link own) counts of exact-zero factors, one pair per channel
+    zero_counts = [] if zf is None else [(np.bincount(links.dst[zf], minlength=n),
+                                          zf[links.reverse])]
+    if params.beta2 > 0.0 and len(plumb.centers):
+        x = params.beta2 * msgs.i_msg[plumb.tlink_a] * msgs.i_msg[plumb.tlink_b]
+        logg, zg = _log_factors(x, plumb.center_weight)
+        full += np.bincount(plumb.centers, logg, minlength=n)
+        own += np.bincount(plumb.excl_a, logg, minlength=num_links)
+        own += np.bincount(plumb.excl_b, logg, minlength=num_links)
+        if zg is not None:
+            zero_counts.append((np.bincount(plumb.centers[zg], minlength=n),
+                                np.bincount(plumb.excl_a[zg], minlength=num_links)
+                                + np.bincount(plumb.excl_b[zg], minlength=num_links)))
+    esc_cav = np.exp(full[links.src] - own)
+    esc_full = np.exp(full)
+    for node_zeros, own_zeros in zero_counts:
+        esc_cav[node_zeros[links.src] > own_zeros] = 0.0
+        esc_full[node_zeros > 0] = 0.0
+    return esc_cav, esc_full
 
 
 def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
@@ -282,8 +269,9 @@ def mp_solve(
 ) -> MessageState:
     """Iterate :func:`mp_step` from the seeded start to a fixed point.
 
-    Stops when the largest per-entry change falls below ``tol`` or after
-    ``max_iters`` steps, whichever comes first; the returned state
+    Stops when the largest per-entry change falls below ``tol``, after
+    ``max_iters`` steps, or at a NaN change, which counts as not
+    converged since a NaN state never recovers; the returned state
     carries the convergence flag, iteration count, per-step change
     trace, and the stationarity residual at the final point (largest
     violation of the steady-state balance for the S and I messages).
@@ -298,17 +286,15 @@ def mp_solve(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         nxt = mp_step(state, params)
-        delta = 0.0
-        for a, b in (
+        # np.max keeps a NaN change (Python's max drops it)
+        delta = float(np.max([np.abs(a - b).max(initial=0.0) for a, b in (
             (state.s_msg, nxt.s_msg), (state.i_msg, nxt.i_msg),
             (state.r_msg, nxt.r_msg), (state.node_s, nxt.node_s),
             (state.node_i, nxt.node_i), (state.node_r, nxt.node_r),
-        ):
-            if a.size:
-                delta = max(delta, float(np.abs(a - b).max()))
+        )]))
         trace.append(delta)
         state = nxt
-        if delta < tol:
+        if delta < tol or math.isnan(delta):
             break
     esc_cav, _ = _escape_products(state, params)
     gain = state.s_msg * (1.0 - esc_cav)

@@ -308,6 +308,45 @@ def multinomial_violations(samples, probs, z=3.0):
     return bad
 
 
+def leave_one_out_escape(view, simplices, i_msg, beta1, beta2):
+    """Cavity and full no-infection products, one direct product each.
+
+    Links are the sorted (i, j) pairs with A_ij > 0, read straight off
+    ``view.weighted``; ``i_msg`` is indexed in that order.  The product
+    for link (i -> j) runs over in-links (k -> i), k != j, of
+    (1 - beta1 I_ki)^A_ki and over the triangles {i, m, l} of
+    ``simplices.triples`` with j not in {m, l}, of
+    (1 - beta2 I_mi I_li)^w; the full product of node i drops no factor.
+    Returns (cav, full, cav_zero, full_zero), the last two flagging
+    products that hold a factor equal to exactly 0.
+    """
+    w = view.weighted.tocoo()
+    weight = {(int(i), int(j)): int(a) for i, j, a in zip(w.row, w.col, w.data) if a}
+    pairs = sorted(weight)
+    msg = dict(zip(pairs, np.asarray(i_msg, dtype=np.float64).tolist(), strict=True))
+    in_nbrs = defaultdict(list)
+    for k, i in pairs:
+        in_nbrs[i].append(k)
+    tris = defaultdict(list)
+    for (a, b, c), tw in zip(simplices.triples.tolist(), simplices.weights.tolist()):
+        for i, m, l in ((a, b, c), (b, a, c), (c, a, b)):
+            tris[i].append((m, l, tw))
+
+    def escape(i, j):
+        bases = [(1.0 - beta1 * msg[k, i], weight[k, i]) for k in in_nbrs[i] if k != j]
+        bases += [(1.0 - beta2 * msg[m, i] * msg[l, i], tw)
+                  for m, l, tw in tris[i] if j not in (m, l)]
+        prod = 1.0
+        for base, power in bases:
+            prod *= base ** power
+        return prod, any(base == 0.0 for base, _ in bases)
+
+    cav = [escape(i, j) for i, j in pairs]
+    full = [escape(i, None) for i in range(view.num_nodes)]
+    return (np.array([p for p, _ in cav]), np.array([p for p, _ in full]),
+            np.array([z for _, z in cav], dtype=bool), np.array([z for _, z in full], dtype=bool))
+
+
 def brute_collective_influence(num_nodes, hyperedges, beta1, gamma):
     """Triple-loop influence scores straight off the dense adjacency.
 

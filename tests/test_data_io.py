@@ -1,6 +1,7 @@
 """Dataset loaders, the round-trip serializer, and summary statistics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ def test_labels_survive_giant_component_round_trip(tmp_path):
     assert q.read_text() == "a b c\nc d\n"
     back = hs.load_hyperedge_list(q)
     assert [[back.node_labels[v] for v in e] for e in back.hyperedges] == [["a", "b", "c"], ["c", "d"]]
+
+
+def test_labelled_round_trip_is_exact(tmp_path):
+    h = hs.Hypergraph(4, [(0, 1, 2), (2, 3)], node_labels=("n0", "b-2", "x.y", "Z"))
+    q = tmp_path / "out.txt"
+    hs.save_hyperedge_list(h, q)
+    back = hs.load_hyperedge_list(q)
+    assert back.node_labels == h.node_labels and back.hyperedges == h.hyperedges
+
+
+@pytest.mark.parametrize("bad", ["a,b", "", "a b", "a\tb", "#a"])
+def test_save_rejects_labels_that_do_not_round_trip(tmp_path, bad):
+    h = hs.Hypergraph(3, [(0, 1), (1, 2)], node_labels=("ok", bad, "c"))
+    q = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(f"node label {bad!r} does not survive")):
+        hs.save_hyperedge_list(h, q)
+    assert not q.exists()
+
+
+def test_comma_label_from_paired_format_is_not_saved(tmp_path):
+    # "a,b" is one label in the paired format but two in a hyperedge list
+    nv = write(tmp_path, "nverts.txt", "2 2\n")
+    sx = write(tmp_path, "simplices.txt", "a,b c c d\n")
+    h = hs.load_benson(nv, sx)
+    assert h.node_labels == ("a,b", "c", "d")
+    with pytest.raises(ValueError, match="'a,b'"):
+        hs.save_hyperedge_list(h, tmp_path / "out.txt")
 
 
 def test_node_labels_must_name_every_node():

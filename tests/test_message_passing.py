@@ -1,12 +1,15 @@
 """Cavity dynamics, operator structure, and spectral threshold tests."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 import hypersir as hs
-from oracles import exact_final_marginals
+from hypersir import message_passing
+from oracles import exact_final_marginals, leave_one_out_escape
 
 PATH5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 STAR_LEG = [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5]]
@@ -27,6 +30,17 @@ def random_hypergraph(rng, n_lo=4, n_hi=9, m_lo=2, m_hi=6, s_hi=4):
         s = int(rng.integers(2, min(s_hi, n) + 1))
         edges.append(sorted(rng.choice(n, size=s, replace=False).tolist()))
     return hs.Hypergraph(n, edges)
+
+
+def extreme_hypergraph(rng, **kw):
+    """A random hypergraph whose first hyperedge recurs up to 300 times."""
+    h = random_hypergraph(rng, **kw)
+    edges = [list(e) for e in h.hyperedges]
+    edges += [edges[0]] * int(rng.choice([0, 1, 49, 299]))
+    return hs.Hypergraph(h.num_nodes, edges)
+
+
+EXTREME_BETAS = (0.0, 0.3, 1.0 - 1e-6, 1.0)
 
 
 def test_trivial_point_is_fixed():
@@ -361,3 +375,62 @@ def test_solve_argument_validation():
         hs.mp_solve(v, ts, par, [0], max_iters=0)
     with pytest.raises(ValueError):
         hs.initial_messages(v, ts, [7])
+
+
+def test_escape_products_match_leave_one_out_oracle():
+    rng = np.random.default_rng(90)
+    seen = {"exact zero": 0, "underflow": 0, "multiplicity 300": 0}
+    for _ in range(40):
+        h = extreme_hypergraph(rng, n_hi=13, m_hi=9)
+        v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+        st = hs.initial_messages(v, ts, [])
+        # exact 0s, exact 1s and interior values in about equal shares
+        st.i_msg = np.choose(rng.integers(0, 3, st.num_links),
+                             [0.0, 1.0, rng.uniform(size=st.num_links)])
+        seen["multiplicity 300"] += int(v.weighted.data.max() >= 300)
+        for b1, b2 in itertools.product(EXTREME_BETAS, EXTREME_BETAS):
+            got = message_passing._escape_products(st, hs.EpidemicParams(beta1=b1, beta2=b2))
+            cav, full, cav_zero, full_zero = leave_one_out_escape(v, ts, st.i_msg, b1, b2)
+            for g, want, zero in zip(got, (cav, full), (cav_zero, full_zero)):
+                assert np.all(g[zero] == 0.0), (b1, b2)
+                np.testing.assert_allclose(g[~zero], want[~zero], rtol=1e-9, atol=1e-300)
+                seen["exact zero"] += int(zero.sum())
+                seen["underflow"] += int(np.count_nonzero((want == 0.0) & ~zero))
+    assert min(seen.values()) > 0, seen
+
+
+def test_extreme_beta_solve_stays_finite():
+    # Products that underflow to 0 on both sides of a division gave NaN
+    # messages here, reported as converged.
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        h = extreme_hypergraph(rng, n_lo=6, n_hi=25, m_lo=4, m_hi=30)
+        v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+        gamma = int(rng.integers(1, 4))
+        par = hs.EpidemicParams(beta1=1.0 - 1e-6, beta2=1.0 - 1e-6, gamma=gamma)
+        st = hs.mp_solve(v, ts, par, rng.choice(h.num_nodes, size=3, replace=False))
+        for arr in (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r):
+            assert np.isfinite(arr).all()
+        assert math.isfinite(st.residual)
+        st.validate()
+
+
+def test_nan_state_is_not_converged(monkeypatch):
+    v, ts = views(3, [[0, 1, 2]])
+
+    def nan_escape(msgs, params):
+        return np.full(msgs.num_links, np.nan), np.full(msgs.num_nodes, np.nan)
+
+    monkeypatch.setattr(message_passing, "_escape_products", nan_escape)
+    st = hs.mp_solve(v, ts, hs.EpidemicParams(beta1=0.5, beta2=0.5, gamma=2), [0])
+    assert st.converged is False
+    assert math.isnan(st.trace[-1])
+
+
+@pytest.mark.parametrize("name", ["s_msg", "node_r"])
+def test_message_state_validation_rejects_non_finite(name):
+    v, ts = views(3, [[0, 1, 2]])
+    st = hs.initial_messages(v, ts, [0])
+    getattr(st, name)[0] = np.nan
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        st.validate()
