@@ -43,7 +43,9 @@ def load_hyperedge_list(path) -> Hypergraph:
     """Read one hyperedge per line; blank lines and ``#`` comments skipped.
 
     Labels may be separated by whitespace or commas.  A label repeated
-    within one line is rejected with its line number.
+    within one line, or a comma-separated label holding whitespace
+    (which :func:`save_hyperedge_list` could not write back), is
+    rejected with its line number.
     """
     edge_labels: list[list[str]] = []
     with open(path) as fh:
@@ -57,6 +59,9 @@ def load_hyperedge_list(path) -> Hypergraph:
                 toks = line.split()
             if any(not t for t in toks):
                 raise ValueError(f"{path}: line {lineno}: empty label")
+            # each label is one word iff splitting on commas and whitespace adds none
+            if "," in line and len(line.replace(",", " ").split()) != len(toks):
+                raise ValueError(f"{path}: line {lineno}: whitespace inside a comma-separated label")
             if len(set(toks)) != len(toks):
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate label within hyperedge"

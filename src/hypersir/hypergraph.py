@@ -23,8 +23,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 DEFAULT_TRIPLE_EDGE_CAP = 25
-# (center, other_a, other_b, weight) rows of (triples.T; weights), one column per member as center
-_EXPAND_ROWS = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1], [3, 3, 3]])
 
 
 @dataclass(eq=False, init=False)
@@ -153,18 +151,22 @@ class TwoSimplexSet:
 
     A triple (i, k, l), i < k < l, is present iff at least one hyperedge
     contains all three nodes; its weight counts such hyperedges.  The
-    ``centers/other_a/other_b/weight`` arrays hold the same triples
-    expanded once per member node, grouped by center node, for fast
-    per-node accumulation.
+    expanded rows hold the same triples once per member node, grouped by
+    center node, for fast per-node accumulation: each row stores its
+    center, its triple's weight and the id of its other two members in
+    the sorted table of distinct pairs ``pair_a/pair_b``.  So
+    (center_weight, row_pair, center_ptr) is the CSR form of the N x P
+    center-by-pair weight matrix.
     """
 
     triples: np.ndarray          # (T, 3) int64, rows sorted
     weights: np.ndarray          # (T,) int64
     centers: np.ndarray          # (3T,) expanded center node per row
-    other_a: np.ndarray          # (3T,) first remaining member
-    other_b: np.ndarray          # (3T,) second remaining member
+    row_pair: np.ndarray         # (3T,) pair id of the row's other two members
     center_weight: np.ndarray    # (3T,) triple weight per expanded row
     center_ptr: np.ndarray       # (N+1,) CSR pointer into expanded rows by center
+    pair_a: np.ndarray           # (P,) first member of each distinct pair
+    pair_b: np.ndarray           # (P,) second member, pair_a < pair_b
     node_triple_weight: np.ndarray  # (N,) sum of weights of triples containing the node
     skipped_hyperedges: int
     size_cap: int
@@ -172,6 +174,16 @@ class TwoSimplexSet:
     @property
     def num_triples(self) -> int:
         return len(self.weights)
+
+    @property
+    def other_a(self) -> np.ndarray:
+        """(3T,) first remaining member of each expanded row."""
+        return self.pair_a.take(self.row_pair)
+
+    @property
+    def other_b(self) -> np.ndarray:
+        """(3T,) second remaining member of each expanded row."""
+        return self.pair_b.take(self.row_pair)
 
 
 def enumerate_two_simplices(
@@ -207,23 +219,33 @@ def enumerate_two_simplices(
     bounds = bounds.nonzero()[0]
     triples = rows.take(bounds[:-1], axis=0)
     weights = bounds[1:] - bounds[:-1]
-    # Expand each triple once per member, grouped by center; the stable sort
-    # keeps member-major order within a center.
-    expanded = np.concatenate((triples.T, weights[None])).take(_EXPAND_ROWS, axis=0).reshape(4, -1)
-    order = expanded[0].argsort(kind="stable")
-    centers, other_a, other_b, center_weight = expanded.take(order, axis=1)
-    center_ptr = centers.searchsorted(np.arange(h.num_nodes + 1))
     # a node's triple weight counts the (hyperedge, 3-subset) rows holding it
     node_triple_weight = np.bincount(rows.ravel(), minlength=h.num_nodes)
+    del rows  # free before expanding, which sets the peak memory
+    # Expand each triple once per member, member-major: row m*T + t has
+    # member m of triple t as center and the other two, a < b < N, as its
+    # pair, keyed by the order-preserving a*N + b (int64 holds it for N up
+    # to 3e9).  A stable sort by center then groups the rows by center.
+    span = max(h.num_nodes, 1)
+    pairs, row_pair = np.unique(np.ravel(triples.T[[1, 0, 0]] * span + triples.T[[2, 2, 1]]),
+                                return_inverse=True)
+    pair_a, pair_b = np.divmod(pairs, span)
+    centers = triples.T.ravel()
+    order = centers.argsort(kind="stable")
+    centers = centers.take(order)
+    center_weight = np.tile(weights, 3).take(order)
+    row_pair = row_pair.take(order)
+    center_ptr = centers.searchsorted(np.arange(h.num_nodes + 1))
 
     return TwoSimplexSet(
         triples=triples,
         weights=weights,
         centers=centers,
-        other_a=other_a,
-        other_b=other_b,
+        row_pair=row_pair,
         center_weight=center_weight,
         center_ptr=center_ptr,
+        pair_a=pair_a,
+        pair_b=pair_b,
         node_triple_weight=node_triple_weight,
         skipped_hyperedges=skipped,
         size_cap=size_cap,

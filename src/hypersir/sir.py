@@ -7,19 +7,21 @@ susceptible node i escapes infection in one step with probability
       * (1 - beta2)^(sum of B_ikl over triangles with k, l both infected)
 
 and otherwise becomes infectious.  Infectious nodes recover exactly
-``gamma`` steps after infection.  One kernel realizes the process: it
-advances the (runs, N) state of a whole ensemble per step, with one
-sparse product for the pairwise channel, one triangle scatter and one
-uniform draw per node and run; ``step`` runs it on a single row.
+``gamma`` steps after infection.  One kernel advances the (runs, N)
+state of a whole ensemble per step: a gather of the triangles' member
+pairs, two sparse products, escape-table lookups and one full-width
+uniform draw; ended runs leave the state.  ``step`` runs it on one row.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data_io import write_csv
 from .hypergraph import AdjacencyView, TwoSimplexSet
@@ -125,28 +127,42 @@ class OutbreakStats:
 # ---------------------------------------------------------------------------
 # kernel
 
-def _advance(status, age, view, simplices, beta1, beta2, gamma, rng):
-    """One synchronous update, in place, of every row of (R, N) arrays.
+def _channels(view, simplices, beta1, beta2):
+    """(operator, escape table) of each channel; the triangle one is None if off.
 
-    Infections are decided from the pre-step state.  The power form
-    keeps the escape probability exactly 1 when no neighbor is infected,
-    even at beta = 1.
+    Pressures are integer sums of integer multiplicities, exact in any
+    order, so (1 - beta)^pressure is a table lookup; entry 0 is exactly 1.
     """
-    runs, n = status.shape
+    def channel(data, indices, indptr, width, bounds, beta):
+        top = int(bounds.max(initial=0))
+        data = data.astype(np.promote_types(np.int32, np.min_scalar_type(top)))
+        return (sp.csr_matrix((data, indices, indptr), shape=(view.num_nodes, width)),
+                (1.0 - beta) ** np.arange(top + 1.0))
+    w = view.weighted
+    pairwise = channel(w.data, w.indices, w.indptr, w.shape[1], view.weighted_degree, beta1)
+    if not (beta2 > 0.0 and simplices is not None and simplices.num_triples):
+        return pairwise, None
+    return pairwise, channel(simplices.center_weight, simplices.row_pair, simplices.center_ptr,
+                             len(simplices.pair_a), simplices.node_triple_weight, beta2)
+
+
+def _advance(status, age, u, channels, simplices, gamma):
+    """One synchronous update, in place, of (R, N) arrays, given uniforms u.
+
+    Infections are decided from the pre-step state: one gather of the
+    distinct member pairs with both members infected, one sparse product
+    per channel for the pressures, and escape-table lookups.
+    """
     infected = status == I
-    escape = (1.0 - beta1) ** (infected.astype(np.float64) @ view.weighted)
-    if beta2 > 0.0 and simplices is not None and simplices.num_triples:
-        # only triangles whose other two members are infected in some run
-        # can be fully infected in one
-        any_run = infected.any(axis=0)
-        k = np.flatnonzero(any_run[simplices.other_a] & any_run[simplices.other_b])
-        row, j = np.nonzero(infected[:, simplices.other_a[k]]
-                            & infected[:, simplices.other_b[k]])
-        tri = np.bincount(row * n + simplices.centers[k[j]],
-                          weights=simplices.center_weight[k[j]],
-                          minlength=runs * n)
-        escape *= (1.0 - beta2) ** tri.reshape(runs, n)
-    newly = (status == S) & (rng.random((runs, n)) < 1.0 - escape)
+    by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout CSR products take
+    (adjacency, escape1), triangle = channels
+    if triangle is None:
+        p_inf = (1.0 - escape1).take(adjacency @ by_node)
+    else:
+        by_pair, escape2 = triangle
+        both = by_node.take(simplices.pair_a, axis=0) & by_node.take(simplices.pair_b, axis=0)
+        p_inf = 1.0 - escape1.take(adjacency @ by_node) * escape2.take(by_pair @ both)
+    newly = (status == S) & (u < p_inf.T)
     recover = infected & (age >= gamma - 1)
     age += infected & ~recover
     age[newly] = 0
@@ -162,8 +178,8 @@ def step(state: EpidemicState, view: AdjacencyView,
     """Advance one synchronous step; returns a new state at t + 1."""
     status = state.status[None, :].copy()
     age = state.age[None, :].copy()
-    _advance(status, age, view, simplices,
-             params.beta1, params.beta2, params.gamma, rng)
+    _advance(status, age, rng.random(status.shape),
+             _channels(view, simplices, params.beta1, params.beta2), simplices, params.gamma)
     return EpidemicState(status=status[0], age=age[0], t=state.t + 1)
 
 
@@ -173,8 +189,9 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
     """Independent Monte-Carlo runs from a fixed seed set.
 
     All runs advance together as the rows of one (runs, N) state, drawing
-    from a single generator seeded with params.rng_seed, so the same
-    inputs, seed and number of runs give the same samples.  Runs still
+    one (runs, N) block of uniforms per step from a single generator
+    seeded with params.rng_seed, so the same inputs, seed and number of
+    runs give the same samples.  Ended runs leave the state; runs still
     infectious at t_max are flagged non-absorbed.
     """
     if runs < 1:
@@ -186,17 +203,24 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
     t_max = params.t_max if params.t_max is not None else 10 * n
 
     rng = np.random.default_rng(params.rng_seed)
+    channels = _channels(view, simplices, params.beta1, params.beta2)
     status = np.zeros((runs, n), dtype=np.int8)
-    age = np.zeros((runs, n), dtype=np.int64)
+    age = np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma)))
     status[:, seeds] = I
-    t = 0
-    while t < t_max and (status == I).any():
-        _advance(status, age, view, simplices,
-                 params.beta1, params.beta2, params.gamma, rng)
-        t += 1
+    final, live, u = status.copy(), np.arange(runs), np.empty((runs, n))
+    for t in count():
+        going = (status == I).any(axis=1)
+        if not going.all():  # ended runs leave the state
+            final[live[~going]] = status[~going]
+            status, age, live = status[going], age[going], live[going]
+        if t >= t_max or not live.size:
+            break
+        u[:live.size] = rng.random(out=u)[live]  # the live runs' uniforms, in place
+        _advance(status, age, u[:live.size], channels, simplices, params.gamma)
+    final[live] = status
     return OutbreakStats(runs=runs,
-                         sigma_samples=np.count_nonzero(status == R, axis=1),
-                         absorbed=~(status == I).any(axis=1),
+                         sigma_samples=np.count_nonzero(final == R, axis=1),
+                         absorbed=~(final == I).any(axis=1),
                          gcc_size=gcc_size if gcc_size is not None else n)
 
 

@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb, sqrt
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 
@@ -102,9 +103,9 @@ def brute_triples_by_scan(num_nodes, hyperedges, size_cap=25):
 def brute_two_simplices(num_nodes, hyperedges, size_cap=25, mode="containment"):
     """Every field of a two-simplex set, by a dict over per-edge 3-subsets.
 
-    Returns {field name: value} with the field names, values, row order
-    and dtypes of ``hypersir.TwoSimplexSet``; see that class for the
-    meaning of each field.
+    Returns {name: value} with the field and array-property names,
+    values, row order and dtypes of ``hypersir.TwoSimplexSet``; see that
+    class for the meaning of each.
     """
     counts = {}
     skipped = 0
@@ -135,14 +136,19 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25, mode="containment"):
         node_triple_weight[c] += w
         rows_per_center[c] += 1
     center_ptr = np.concatenate([[0], np.cumsum(rows_per_center)]).astype(np.int64)
+    row_pairs = list(zip(np.array(other_a)[order].tolist(), np.array(other_b)[order].tolist()))
+    pair_id = {p: k for k, p in enumerate(sorted(set(row_pairs)))}
     return {
         "triples": triples,
         "weights": weights,
         "centers": centers,
+        "row_pair": np.array([pair_id[p] for p in row_pairs], dtype=np.int64),
         "other_a": np.array(other_a, dtype=np.int64)[order],
         "other_b": np.array(other_b, dtype=np.int64)[order],
         "center_weight": np.array(center_weight, dtype=np.int64)[order],
         "center_ptr": center_ptr,
+        "pair_a": np.array([a for a, _ in pair_id], dtype=np.int64),
+        "pair_b": np.array([b for _, b in pair_id], dtype=np.int64),
         "node_triple_weight": node_triple_weight,
         "skipped_hyperedges": skipped,
         "size_cap": size_cap,
@@ -283,6 +289,77 @@ def exact_final_marginals(num_nodes, hyperedges, seeds, beta1, beta2,
                 nxt[(tuple(ns), tuple(na))] += bp
         dist = nxt
     return out
+
+
+def reference_advance(status, age, view, simplices, beta1, beta2, gamma, rng):
+    """One synchronous SIR step, in place, on (R, N) status/age arrays.
+
+    The plain runs-batched kernel: a dense float product for the pairwise
+    pressure, a scatter of the expanded triangle rows whose other two
+    members are both infected for the triangle pressure, and the power
+    form (1 - beta)^pressure.  It draws one (R, N) block of uniforms per
+    step, so the package kernel, which reads the same block, must match
+    it bit for bit.
+    """
+    runs, n = status.shape
+    infected = status == 1
+    escape = (1.0 - beta1) ** (infected.astype(np.float64) @ view.weighted)
+    if beta2 > 0.0 and simplices is not None and simplices.num_triples:
+        row, k = np.nonzero(infected[:, simplices.other_a] & infected[:, simplices.other_b])
+        tri = np.bincount(row * n + simplices.centers[k], weights=simplices.center_weight[k],
+                          minlength=runs * n)
+        escape *= (1.0 - beta2) ** tri.reshape(runs, n)
+    newly = (status == 0) & (rng.random((runs, n)) < 1.0 - escape)
+    recover = infected & (age >= gamma - 1)
+    age += infected & ~recover
+    age[newly] = 0
+    status += newly | recover
+
+
+def reference_run_sir(view, simplices, seeds, params, runs):
+    """(final sizes, absorbed flags) of ``runs`` runs stepped together.
+
+    Every run stays in the state until the last one ends or t_max is
+    reached, one ``reference_advance`` per step from a generator seeded
+    with params.rng_seed.
+    """
+    n = view.num_nodes
+    t_max = params.t_max if params.t_max is not None else 10 * n
+    rng = np.random.default_rng(params.rng_seed)
+    status = np.zeros((runs, n), dtype=np.int8)
+    age = np.zeros((runs, n), dtype=np.int64)
+    status[:, list(seeds)] = 1
+    t = 0
+    while t < t_max and (status == 1).any():
+        reference_advance(status, age, view, simplices,
+                          params.beta1, params.beta2, params.gamma, rng)
+        t += 1
+    return np.count_nonzero(status == 2, axis=1), ~(status == 1).any(axis=1)
+
+
+def percolation_final_sizes(view, seeds, beta1, gamma, samples, rng):
+    """Final sizes of the beta2 = 0 process, sampled by bond percolation.
+
+    With a fixed infectious period of gamma steps, an infected node makes
+    gamma attempts on each neighbor j, each failing with probability
+    (1 - beta1)^A_ij.  Exploring the outbreak from the seeds tests each
+    pair {i, j} at most once, so the final infected set is distributed
+    as the union of the seeds' clusters when each pair is kept
+    independently with probability T_ij = 1 - (1 - beta1)^(gamma A_ij)
+    (Kenah & Robins, PRE 76:036113, 2007).  One connected_components
+    call per sample.
+    """
+    pairs = sp.triu(view.weighted, k=1).tocoo()
+    keep_p = 1.0 - (1.0 - beta1) ** (gamma * pairs.data.astype(np.float64))
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    sizes = np.empty(samples, dtype=np.int64)
+    for s in range(samples):
+        kept = rng.random(len(keep_p)) < keep_p
+        graph = sp.coo_matrix((np.ones(int(kept.sum())), (pairs.row[kept], pairs.col[kept])),
+                              shape=view.weighted.shape)
+        _, labels = connected_components(graph, directed=False)
+        sizes[s] = np.count_nonzero(np.isin(labels, labels[seeds]))
+    return sizes
 
 
 def multinomial_violations(samples, probs, z=3.0):

@@ -201,6 +201,9 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["experiment", "--lambda1", "1.0"]) == 2        # no input
     assert main(["experiment", "--dataset", "x", "--methods", "nope"]) == 2
     assert main(["stats", "--dataset", str(tmp_path / "missing.txt")]) == 2
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("x y,z\nz,w\n")
+    assert main(["stats", "--dataset", str(spaced)]) == 2  # label "x y" cannot be saved
 
 
 @pytest.mark.parametrize("doc", [

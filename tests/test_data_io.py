@@ -53,6 +53,15 @@ def test_load_rejects_empty_label(tmp_path):
         hs.load_hyperedge_list(p)
 
 
+def test_load_rejects_whitespace_inside_comma_separated_label(tmp_path):
+    p = write(tmp_path, "h.txt", "a b\nz,w\nx y,z\n")
+    with pytest.raises(ValueError, match="line 3: whitespace"):
+        hs.load_hyperedge_list(p)
+    tab = write(tmp_path, "t.txt", "x\ty,z\n")
+    with pytest.raises(ValueError, match="line 1"):
+        hs.load_hyperedge_list(tab)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         hs.load_hyperedge_list(tmp_path / "nope.txt")

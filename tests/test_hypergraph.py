@@ -223,13 +223,14 @@ def test_size_cap_skips_and_reports():
 def assert_two_simplices_match_oracle(h, **kw):
     ts = hs.enumerate_two_simplices(h, **kw)
     ref = oracles.brute_two_simplices(h.num_nodes, h.hyperedges, **kw)
-    for f in dataclasses.fields(hs.TwoSimplexSet):
-        got, want = getattr(ts, f.name), ref[f.name]
+    assert {f.name for f in dataclasses.fields(hs.TwoSimplexSet)} <= ref.keys()
+    for name, want in ref.items():
+        got = getattr(ts, name)
         if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, f.name
-            assert got.shape == want.shape and np.array_equal(got, want), f.name
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape and np.array_equal(got, want), name
         else:
-            assert type(got) is type(want) and got == want, f.name
+            assert type(got) is type(want) and got == want, name
 
 
 @pytest.mark.parametrize("kw", [{}, {"size_cap": 4}, {"mode": "size3only"}],

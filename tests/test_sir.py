@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import hypersir as hs
 import oracles
@@ -242,3 +243,75 @@ def test_outbreak_stats_serialization(tmp_path):
     assert summary["runs"] == 12
     assert summary["non_absorbed"] == 0
     assert summary["sigma_mean"] == pytest.approx(stats.sigma_mean)
+
+
+def kernel_cases():
+    """64 seeded random instances plus the empty and edge-free graphs."""
+    rng = np.random.default_rng(808)
+    for case in range(64):
+        n = int(rng.integers(5, 301))
+        edges = [sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False).tolist())
+                 for _ in range(int(rng.integers(1, 2 * n)))]
+        edges += [edges[0]] * int(rng.integers(1, 4))  # multiplicities above 1
+        beta1 = (0.0, 1.0, float(rng.random()))[case % 3]
+        beta2 = (0.0, 1.0, float(rng.random()))[case // 3 % 3]
+        seeds = rng.choice(n, size=int(rng.integers(0, 6)), replace=False).tolist() if case % 7 else []
+        params = hs.EpidemicParams(beta1, beta2, gamma=1 + case % 3, rng_seed=case,
+                                   t_max=2 if case % 5 == 0 else None)
+        yield hs.Hypergraph(n, edges), seeds, params, int(rng.integers(1, 30))
+    for h in (hs.Hypergraph(0), hs.Hypergraph(7)):
+        yield h, [], hs.EpidemicParams(0.5, 0.5, rng_seed=1), 4
+    yield hs.Hypergraph(7), [2, 5], hs.EpidemicParams(0.5, 0.5, gamma=2, rng_seed=1), 4
+
+
+def test_kernel_matches_reference_bit_for_bit():
+    non_absorbed = 0
+    for h, seeds, params, runs in kernel_cases():
+        v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+        got = hs.run_sir(v, ts, seeds, params, runs=runs)
+        sigma, absorbed = oracles.reference_run_sir(v, ts, seeds, params, runs)
+        assert got.sigma_samples.dtype == sigma.dtype and np.array_equal(got.sigma_samples, sigma)
+        assert np.array_equal(got.absorbed, absorbed)
+        non_absorbed += got.non_absorbed
+        # step runs the same kernel on one row: same states from the same stream
+        state = hs.initial_state(h.num_nodes, seeds)
+        status, age = state.status[None].copy(), state.age[None].copy()
+        rng_a, rng_b = np.random.default_rng(params.rng_seed), np.random.default_rng(params.rng_seed)
+        for _ in range(4):
+            state = hs.step(state, v, ts, params, rng_a)
+            oracles.reference_advance(status, age, v, ts, params.beta1, params.beta2,
+                                      params.gamma, rng_b)
+            assert np.array_equal(state.status, status[0]) and np.array_equal(state.age, age[0])
+    assert non_absorbed > 0  # the t_max = 2 cases stop runs that are still infectious
+
+
+def test_final_sizes_match_bond_percolation_at_scale():
+    # beta2 = 0 outbreaks on ~1.8k scale-free nodes against the percolation
+    # oracle, by a two-sample chi-square over 10 pooled-quantile bins.
+    # Bonferroni over the cases: an exact kernel fails with probability
+    # <= 1e-3 in all.
+    h, _ = hs.giant_component(hs.generate(hs.GenSpec(
+        "scale_free", 2000, 4000, exponent=2.0, size_range=(2, 4), degree_range=(2, 60), rng_seed=3)))
+    h = hs.Hypergraph(h.num_nodes, [*h.hyperedges, *h.hyperedges[:200]])
+    v = hs.build_adjacency(h)
+    assert v.weighted.data.max() > 2  # multiplicities above 1 enter T_ij
+    beta_c = hs.critical_beta1(v)
+    seeds = np.random.default_rng(5).choice(v.num_nodes, 3, replace=False).tolist()
+    # (gamma, beta1 as a multiple of the gamma-scaled threshold); 1.0 is near it
+    cases = [(1, 1.0), (1, 2.0), (3, 1.5), (3, 3.0)]
+    samples = 300
+    for gamma, factor in cases:
+        beta1 = factor * beta_c / gamma
+        sir = hs.run_sir(v, None, seeds, hs.EpidemicParams(beta1, 0.0, gamma, rng_seed=11),
+                         runs=samples)
+        assert sir.non_absorbed == 0
+        perc = oracles.percolation_final_sizes(v, seeds, beta1, gamma, samples,
+                                               np.random.default_rng(12))
+        pooled = np.concatenate([sir.sigma_samples, perc])
+        cuts = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 11)[1:-1]))
+        a, b = (np.bincount(cuts.searchsorted(x, side="right"), minlength=len(cuts) + 1)
+                for x in (sir.sigma_samples, perc))
+        used = a + b > 0
+        stat = float(((a - b)[used] ** 2 / (a + b)[used]).sum())  # equal sample sizes
+        p = chi2.sf(stat, int(used.sum()) - 1)
+        assert p > 1e-3 / len(cases), (gamma, factor, stat, p)
