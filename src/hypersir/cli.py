@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .data_io import (dataset_stats, load_benson, load_hyperedge_list, save_hyperedge_list,
-                      write_csv, write_stats_table)
+                      write_csv, write_json, write_stats_table)
 from .generators import GenSpec, generate
 from .hypergraph import (
     DEFAULT_TRIPLE_EDGE_CAP,
@@ -133,18 +133,9 @@ class ExperimentConfig:
 
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
-# CLI flag dest -> key inside the generator block
-GEN_FLAG_KEYS = {
-    "family": "family",
-    "num_nodes": "num_nodes",
-    "num_hyperedges": "num_hyperedges",
-    "exponent": "exponent",
-    "membership_p": "membership_p",
-    "uniform_size": "uniform_size",
-    "degree_range": "degree_range",
-    "size_range": "size_range",
-    "gen_seed": "rng_seed",
-}
+# CLI flag dest -> key inside the generator block; --gen-seed keeps clear of --rng-seed
+GEN_FLAG_KEYS = {("gen_seed" if f.name == "rng_seed" else f.name): f.name
+                 for f in dataclasses.fields(GenSpec)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -200,7 +191,6 @@ def _load_raw(cfg: ExperimentConfig) -> Hypergraph:
 
 @dataclass
 class PreparedInput:
-    full: Hypergraph
     work: Hypergraph
     view: AdjacencyView
     simplices: TwoSimplexSet
@@ -218,7 +208,7 @@ def prepare_input(cfg: ExperimentConfig) -> PreparedInput:
     view = build_adjacency(work)
     simplices = enumerate_two_simplices(work, size_cap=cfg.size_cap)
     k1, k2 = simplex_densities(work, view=view, simplices=simplices)
-    return PreparedInput(h, work, view, simplices, k1, k2)
+    return PreparedInput(work, view, simplices, k1, k2)
 
 
 def resolve_seed_counts(cfg: ExperimentConfig, gcc_size: int) -> list[int]:
@@ -248,9 +238,7 @@ def _write_provenance(outdir: Path, command: str, cfg: ExperimentConfig,
     }
     if extra:
         doc.update(extra)
-    with open(outdir / "provenance.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "provenance.json", doc)
 
 
 def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> SeedSet:
@@ -336,13 +324,8 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
                 EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed),
                 runs=cfg.runs,
             )
-            rows.append(dict(
-                shared, method=method, beta1=b1, beta2=b2,
-                sigma_mean=stats.sigma_mean,
-                sigma_std=float(stats.sigma_samples.std()),
-                fraction_of_gcc=stats.fraction_of_gcc,
-                non_absorbed=stats.non_absorbed, error="",
-            ))
+            rows.append(dict(shared, **stats.summary(), method=method, beta1=b1, beta2=b2,
+                             error=""))
             details.append((method, stats))
     except Exception as err:  # noqa: BLE001 - cell isolation is the contract
         rows.append(dict(
@@ -359,14 +342,10 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     cells = _experiment_cells(cfg, inp)
     outdir = _outdir(cfg)
     seed_sets: dict = {}  # shared by this call's cells; racing workers may both fill a key
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda item: _run_cell(cfg, inp, item[0], item[1], seed_sets),
-                enumerate(cells)))
-    else:
-        results = [_run_cell(cfg, inp, i, c, seed_sets) for i, c in enumerate(cells)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(
+            lambda item: _run_cell(cfg, inp, item[0], item[1], seed_sets),
+            enumerate(cells)))
 
     rows = [row for cell_rows, _ in results for row in cell_rows]
     detail_dir = outdir / "details"
@@ -451,20 +430,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     res = leading_eigen(op)
     bstar = critical_beta1(inp.view, gamma=cfg.gamma)
     outdir = _outdir(cfg)
-    doc = {
-        "lambda_c": res.lambda_c,
-        "beta1": b1,
-        "gamma": cfg.gamma,
-        "beta1_star": bstar if math.isfinite(bstar) else "inf",
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "residual": res.residual,
-        "num_links": op.num_links,
-        "num_nodes": inp.work.num_nodes,
-    }
-    with open(outdir / "spectrum.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = dict(res.to_dict(), beta1=b1, gamma=cfg.gamma,
+               beta1_star=bstar if math.isfinite(bstar) else "inf",
+               num_nodes=inp.work.num_nodes)
+    write_json(outdir / "spectrum.json", doc)
     outputs = ["spectrum.json"]
     if cfg.dump_operator:
         op.dump_coo(outdir / "operator.txt")
@@ -492,23 +461,14 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
     h = _load_raw(cfg)
-    if cfg.name:
-        name = cfg.name
-    elif cfg.dataset:
-        name = Path(cfg.dataset).stem
-    elif cfg.nverts:
-        name = Path(cfg.nverts).stem
-    else:
-        name = "generated"
+    name = cfg.name or Path(cfg.dataset or cfg.nverts or "generated").stem
     retained = dataset_stats(h, size_cap=cfg.size_cap)
     deduped = dataset_stats(h, size_cap=cfg.size_cap, dedup=True)
     outdir = _outdir(cfg)
     write_stats_table({name: retained, f"{name}/dedup": deduped},
                       outdir / "stats.csv")
-    with open(outdir / "stats.json", "w") as fh:
-        json.dump({"name": name, "retained": retained.to_dict(),
-                   "dedup": deduped.to_dict()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "stats.json",
+               {"name": name, "retained": retained.to_dict(), "dedup": deduped.to_dict()})
     _write_provenance(outdir, "stats", cfg, ["stats.csv", "stats.json"])
     print(f"{name}: n={retained.n} m={retained.m} gcc={retained.gcc_size} "
           f"mean_node_degree={retained.mean_node_degree:.4g}")

@@ -1,11 +1,12 @@
-"""Loading, saving, and summarizing hypergraph datasets; the CSV writer.
+"""Loading, saving, and summarizing hypergraph datasets; the file writers.
 
 Two text formats are supported: a plain hyperedge list (one edge per
 line, whitespace- or comma-separated labels) and the paired
 nverts/simplices layout used by several public hypergraph repositories.
 Node labels are remapped to dense ids in first-appearance order and kept
 in the hypergraph's ``node_labels`` field, which ``giant_component`` and
-deduplication carry along.  Every package CSV goes through ``write_csv``.
+deduplication carry along.  Every package CSV goes through ``write_csv``
+and every JSON document through ``write_json``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "save_hyperedge_list",
     "dataset_stats",
     "write_csv",
+    "write_json",
     "write_stats_table",
 ]
 
@@ -135,6 +137,13 @@ def write_csv(path, tag: str, columns: tuple[str, ...], rows) -> None:
             fh.write(",".join(cell(row[c]) for c in columns) + "\n")
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON: two-space indent, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class DatasetStats:
     """Summary table row: full-set counts plus giant-component means."""
@@ -160,9 +169,7 @@ class DatasetStats:
         return asdict(self)
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 STATS_COLUMNS = (

@@ -14,7 +14,7 @@ of the weighted adjacency and of the triangle tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, compress, pairwise
 from typing import Iterable, Sequence
 
@@ -259,7 +259,9 @@ class LinkIndex:
     Links are sorted by (src, dst), so ids of links out of a node are
     contiguous and :meth:`link_ids` finds ids by binary search.
     ``reverse[e]`` is the id of the opposite link, and ``weight[e]`` the
-    shared-hyperedge count of the underlying pair.
+    shared-hyperedge count of the underlying pair.  The adjacency is
+    symmetric, so ``reverse`` over node i's out-link range lists the
+    links into i in ascending source order.
     """
 
     num_nodes: int
@@ -267,12 +269,7 @@ class LinkIndex:
     dst: np.ndarray        # (2M_L,) destination node per link
     weight: np.ndarray     # (2M_L,) weighted-adjacency value of the pair
     out_ptr: np.ndarray    # (N+1,) CSR pointer: out-links of node i
-    in_ptr: np.ndarray     # (N+1,) CSR pointer into in_ids
-    in_ids: np.ndarray     # link ids grouped by destination, sorted by (dst, src)
-    reverse: np.ndarray = field(init=False)  # (2M_L,) id of link (j -> i) for link (i -> j)
-
-    def __post_init__(self):
-        self.reverse = self.link_ids(self.dst, self.src)
+    reverse: np.ndarray    # (2M_L,) id of link (j -> i) for link (i -> j)
 
     @property
     def num_links(self) -> int:
@@ -295,7 +292,7 @@ class LinkIndex:
         return np.arange(self.out_ptr[i], self.out_ptr[i + 1])
 
     def in_links(self, i: int) -> np.ndarray:
-        return self.in_ids[self.in_ptr[i]: self.in_ptr[i + 1]]
+        return self.reverse[self.out_ptr[i]: self.out_ptr[i + 1]]
 
 
 def build_link_index(view: AdjacencyView) -> LinkIndex:
@@ -304,15 +301,14 @@ def build_link_index(view: AdjacencyView) -> LinkIndex:
     n = view.num_nodes
     dst = binary.indices.astype(np.int64)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(binary.indptr))
-    in_ids = np.lexsort((src, dst))
     return LinkIndex(
         num_nodes=n,
         src=src,
         dst=dst,
         weight=view.weighted.data.astype(np.int64),  # same sparsity pattern as binary
         out_ptr=binary.indptr.astype(np.int64),
-        in_ptr=np.searchsorted(dst[in_ids], np.arange(n + 1)).astype(np.int64),
-        in_ids=in_ids.astype(np.int64),
+        # the adjacency is symmetric, so the k-th link in (dst, src) order reverses link k
+        reverse=np.lexsort((src, dst)),
     )
 
 

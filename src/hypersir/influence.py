@@ -40,7 +40,6 @@ class CiScores:
     scores: np.ndarray
     beta1: float
     gamma: float
-    radius: int = 1
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)

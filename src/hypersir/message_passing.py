@@ -17,7 +17,6 @@ oracles and ``--dump-operator``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from .data_io import write_json
 from .hypergraph import (
     AdjacencyView,
     Hypergraph,
@@ -133,15 +133,6 @@ class MessageState:
             raise ValueError("link state sums deviate from 1")
         if node_sum.size and np.abs(node_sum - 1.0).max() > tol:
             raise ValueError("node state sums deviate from 1")
-
-    def solver_summary(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "steps": self.step,
-            "trace": list(self.trace) if self.trace is not None else None,
-        }
 
 
 def initial_messages(
@@ -347,7 +338,8 @@ class WnbOperator:
         ids = np.arange(num_links + 1)
         weight = links.weight.astype(np.float64)
         to_src = sp.csr_matrix((np.ones(num_links), links.src, ids), shape=(num_links, n))
-        from_dst = sp.csr_matrix((weight[links.in_ids], links.in_ids, links.in_ptr),
+        # row i lists the links into i: reverse over i's out-link range
+        from_dst = sp.csr_matrix((weight[links.reverse], links.reverse, links.out_ptr),
                                  shape=(n, num_links))
         back = sp.csr_matrix((weight[links.reverse], links.reverse, ids),
                              shape=(num_links, num_links))
@@ -407,16 +399,13 @@ class SpectralResult:
         return out
 
     def write_json(self, path, include_eigvec: bool = False) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(include_eigvec=include_eigvec), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict(include_eigvec=include_eigvec))
 
 
 def leading_eigen(
     op: WnbOperator,
     tol: float = 1e-10,
     max_iters: int = 100_000,
-    seed: int | None = None,
 ) -> SpectralResult:
     """Power iteration for the spectral radius of the link operator.
 
@@ -438,18 +427,13 @@ def leading_eigen(
     if num_links // 2 == links.num_nodes - n_comp:
         # Links pointing into a degree-1 node are never read by any row,
         # so their indicator spans an exact kernel direction.
-        in_deg = np.diff(links.in_ptr)
-        v = (in_deg[links.dst] == 1).astype(np.float64)
+        deg = np.diff(links.out_ptr)  # in-degree equals out-degree
+        v = (deg[links.dst] == 1).astype(np.float64)
         v /= v.sum()
         resid = float(np.abs(op.matvec(v)).sum())
         return SpectralResult(0.0, v, 0, resid, True)
 
-    if seed is None:
-        v = np.full(num_links, 1.0 / num_links)
-    else:
-        rng = np.random.default_rng(seed)
-        v = rng.uniform(0.5, 1.5, size=num_links)
-        v /= v.sum()
+    v = np.full(num_links, 1.0 / num_links)
     # Entries are nonnegative, so a zero row-sum maximum means a zero
     # operator (beta1 = 0): every vector is an exact kernel vector.
     shift = 0.5 * float(np.max(op.matvec(np.ones(num_links))))

@@ -15,7 +15,6 @@ uniform draw; ended runs leave the state.  ``step`` runs it on one row.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from itertools import count
@@ -23,7 +22,7 @@ from itertools import count
 import numpy as np
 import scipy.sparse as sp
 
-from .data_io import write_csv
+from .data_io import write_csv, write_json
 from .hypergraph import AdjacencyView, TwoSimplexSet
 
 S, I, R = 0, 1, 2
@@ -119,9 +118,7 @@ class OutbreakStats:
             for r in range(self.runs)))
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 # ---------------------------------------------------------------------------

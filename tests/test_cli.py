@@ -426,3 +426,37 @@ def test_readme_generate_and_spectrum_lines_run(tmp_path, monkeypatch, capsys):
     for ln in lines:
         assert main(shlex.split(ln)[1:]) == 0, (ln, capsys.readouterr().err)
     assert (tmp_path / "spectrum.json").exists()
+
+
+def canonical_json(path) -> bool:
+    text = path.read_text(encoding="utf-8")
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_output_is_canonical(tmp_path):
+    data = sf_file(tmp_path)
+    for cmd in ("spectrum", "stats"):
+        out = tmp_path / cmd
+        assert main([cmd, "--dataset", str(data), "--output-dir", str(out)]) == 0
+        for name in (f"{cmd}.json", "provenance.json"):
+            assert canonical_json(out / name), (cmd, name)
+    h = hs.load_hyperedge_list(data)
+    v = hs.build_adjacency(h)
+    hs.leading_eigen(hs.build_wnb(v, 0.5, 1)).write_json(tmp_path / "eig.json")
+    hs.dataset_stats(h).write_json(tmp_path / "ds.json")
+    hs.run_sir(v, None, [0], hs.EpidemicParams(beta1=0.3), runs=3).write_summary_json(
+        tmp_path / "sir.json")
+    for name in ("eig.json", "ds.json", "sir.json"):
+        assert canonical_json(tmp_path / name), name
+
+
+def test_spectrum_and_stats_reruns_byte_identical(tmp_path):
+    data = sf_file(tmp_path)
+    for cmd, extra in (("spectrum", ["--dump-operator"]), ("stats", [])):
+        files = []
+        for run in range(2):
+            out = tmp_path / f"{cmd}{run}"
+            assert main([cmd, "--dataset", str(data), "--output-dir", str(out), *extra]) == 0
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if p.name != "provenance.json"})
+        assert files[0] == files[1] and len(files[0]) == 2

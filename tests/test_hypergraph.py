@@ -300,8 +300,11 @@ def test_triangle_has_six_directed_links():
 
 def test_link_index_bijection_and_reverse():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        h = random_hypergraph(rng, 14, 9, 5)
+    graphs = [random_hypergraph(rng, 14, 9, 5) for _ in range(10)]
+    # a repeated hyperedge lifts pair weights above 1; node 5 stays isolated
+    graphs.append(hs.Hypergraph(6, [(0, 1, 2), (0, 1, 2), (2, 3), (3, 4), (2, 3)]))
+    weights = []
+    for h in graphs:
         v = hs.build_adjacency(h)
         li = hs.build_link_index(v)
         assert li.num_links == v.binary.nnz
@@ -318,9 +321,12 @@ def test_link_index_bijection_and_reverse():
         for i in range(h.num_nodes):
             outs = li.out_links(i)
             assert (li.src[outs] == i).all()
-            ins = li.in_links(i)
-            assert (li.dst[ins] == i).all()
+            into = [e for e in range(li.num_links) if li.dst[e] == i]
+            into.sort(key=lambda e: li.src[e])
+            assert li.in_links(i).tolist() == into
         assert sum(len(li.out_links(i)) for i in range(h.num_nodes)) == li.num_links
+        weights.extend(li.weight.tolist())
+    assert max(weights) > 1
 
 
 def test_link_id_of_absent_pair_raises():

@@ -222,7 +222,7 @@ def test_operator_row_counts_match_in_degrees():
         li = hs.build_link_index(v)
         op = hs.build_wnb(v, 0.4, 2, links=li)
         nnz_per_row = np.diff(op.skeleton.indptr)
-        in_deg = np.diff(li.in_ptr)
+        in_deg = np.diff(li.out_ptr)
         assert np.array_equal(nnz_per_row, in_deg[li.src] - 1)
         # the matrix-free product against its CSR oracle
         x = rng.standard_normal(li.num_links)
