@@ -70,6 +70,10 @@ RESULT_COLUMNS = (
 )
 
 
+def _is_count(val, low: int) -> bool:
+    return not isinstance(val, bool) and isinstance(val, numbers.Integral) and val >= low
+
+
 @dataclass
 class ExperimentConfig:
     """One JSON document driving every subcommand; unused keys are inert."""
@@ -103,12 +107,21 @@ class ExperimentConfig:
         for key, low in (("runs", 1), ("gamma", 1), ("workers", 1), ("bench_repeats", 1),
                          ("rng_seed", 0), ("size_cap", 0)):
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
+            if not _is_count(val, low):
                 raise ValueError(f"{key} must be an integer >= {low}, got {val!r}")
-        for grid in ("lambda1", "lambda2", "beta1", "beta2", "sizes", "n_grid"):
-            vals = getattr(self, grid)
-            if vals is not None and len(vals) == 0:
-                raise ValueError(f"{grid} grid must be non-empty")
+        rate = (lambda v: math.isfinite(v) and v >= 0, "finite numbers >= 0")
+        percent = (lambda v: 0 < v <= 100, "numbers in (0, 100]")
+        for key, (ok, what) in (("lambda1", rate), ("lambda2", rate), ("beta1", rate),
+                                ("beta2", rate), ("k_percent", percent), ("n_grid", percent),
+                                ("k_absolute", (lambda k: _is_count(k, 0), "integers >= 0")),
+                                ("sizes", (lambda n: _is_count(n, 2), "integers >= 2"))):
+            vals = getattr(self, key)
+            if vals is None and key not in ("sizes", "n_grid"):
+                continue  # an optional grid left out
+            if not vals or not all(map(ok, vals)):
+                raise ValueError(f"{key} must be a non-empty list of {what}, got {vals!r}")
+        if not (math.isfinite(self.mean_degree) and self.mean_degree > 0):
+            raise ValueError(f"mean_degree must be positive, got {self.mean_degree!r}")
         if self.lambda1 is not None and self.beta1 is not None:
             raise ValueError("give lambda1 or beta1, not both")
         if self.lambda2 is not None and self.beta2 is not None:
@@ -120,15 +133,6 @@ class ExperimentConfig:
             raise ValueError("methods list must be non-empty")
         if self.k_absolute is not None and self.k_percent is not None:
             raise ValueError("give k_absolute or k_percent, not both")
-        if self.k_absolute is not None:
-            if not self.k_absolute or any(k < 0 for k in self.k_absolute):
-                raise ValueError("k_absolute must be non-empty, nonnegative")
-        if self.k_percent is not None:
-            if not self.k_percent or any(not 0 < p <= 100 for p in self.k_percent):
-                raise ValueError("k_percent values must lie in (0, 100]")
-        for nn in self.n_grid:
-            if not 0 < nn <= 100:
-                raise ValueError("n_grid values must lie in (0, 100]")
 
 
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))

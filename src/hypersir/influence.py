@@ -103,9 +103,9 @@ def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> CiS
 
 
 def _order(view: AdjacencyView, primary: np.ndarray) -> np.ndarray:
-    """Total selection order: primary desc, weighted degree desc, id asc."""
-    n = view.num_nodes
-    return np.lexsort((np.arange(n), -view.weighted_degree, -np.asarray(primary)))
+    """Total selection order: primary desc, weighted degree desc, id asc
+    (lexsort is stable, so full ties keep id order)."""
+    return np.lexsort((-view.weighted_degree, -np.asarray(primary)))
 
 
 def ranked_nodes(view: AdjacencyView, scores: CiScores | np.ndarray) -> np.ndarray:
@@ -132,46 +132,48 @@ def cia_select(view: AdjacencyView, scores: CiScores, k: int) -> SeedSet:
     are admitted in their original rank order.
     """
     _check_k(view, k)
-    order = ranked_nodes(view, scores)
     binary = view.binary
     blocked = np.zeros(view.num_nodes, dtype=bool)
-    chosen: list[int] = []
-    skipped: list[int] = []
-    for v in order:
+    chosen, skipped = [], []
+    for v in ranked_nodes(view, scores).tolist():
         if len(chosen) == k:
             break
-        v = int(v)
         if blocked[v]:
             skipped.append(v)
             continue
         chosen.append(v)
         blocked[binary.indices[binary.indptr[v]: binary.indptr[v + 1]]] = True
-    for v in skipped:
-        if len(chosen) == k:
-            break
-        chosen.append(v)
-    return SeedSet(nodes=tuple(chosen), method="cia")
+    return SeedSet(nodes=tuple((chosen + skipped)[:k]), method="cia")
 
 
 def _adaptive_select(view: AdjacencyView, k: int, method: str) -> list[int]:
-    """Greedy argmax on a degree vector that shrinks around each pick."""
-    binary = view.binary
-    d = view.node_degree.astype(np.int64).copy()
-    available = np.ones(view.num_nodes, dtype=bool)
+    """Greedy argmax on a degree vector that shrinks around each pick.
+
+    key = d*N + tie holds the current degree d above a static rank tie,
+    N-1 for the first node of the (weighted degree desc, id asc) order,
+    so one argmax is one pick.  d stays in [0, N-1], so key < N^2 fits
+    int64.  Picked nodes hold key -1, and only the pick's still-available
+    neighbours are updated.
+    """
+    n = view.num_nodes
+    indptr, indices = view.binary.indptr, view.binary.indices
+    tie = n - 1 - np.argsort(_order(view, np.zeros(n)))
+    key = view.node_degree * n + tie
+    in_nbhd = np.zeros(n, dtype=np.int64)
     chosen: list[int] = []
     for _ in range(k):
-        order = _order(view, d)
-        pick = next(int(v) for v in order if available[v])
+        pick = int(key.argmax())
         chosen.append(pick)
-        available[pick] = False
-        nbrs = binary.indices[binary.indptr[pick]: binary.indptr[pick + 1]]
+        key[pick] = -1
+        nbrs = indices[indptr[pick]: indptr[pick + 1]]
+        free = nbrs[key[nbrs] >= 0]
         if method == "hsdp":
-            d[nbrs] -= 1
+            key[free] -= n
         else:  # hadp: shared neighborhood plus the seed itself, floored at 0
-            row = np.zeros(view.num_nodes, dtype=np.int64)
-            row[nbrs] = 1
-            shared = binary[nbrs] @ row
-            d[nbrs] = np.maximum(0, d[nbrs] - (shared + 1))
+            in_nbhd[nbrs] = 1
+            shared = view.binary[free] @ in_nbhd
+            in_nbhd[nbrs] = 0
+            key[free] = np.maximum(0, key[free] // n - (shared + 1)) * n + tie[free]
     return chosen
 
 
@@ -214,15 +216,10 @@ def top_overlap_probability(
     """
     if not 0 < n_percent <= 100:
         raise ValueError("n_percent must lie in (0, 100]")
-    order = ranked_nodes(view, scores)
     m = max(1, int(round(n_percent / 100.0 * view.num_nodes)))
-    top = order[:m]
-    in_top = np.zeros(view.num_nodes, dtype=bool)
-    in_top[top] = True
-    binary = view.binary
-    total = 0.0
-    for v in top:
-        nbrs = binary.indices[binary.indptr[v]: binary.indptr[v + 1]]
-        if len(nbrs):
-            total += in_top[nbrs].mean()
-    return total / m
+    top = ranked_nodes(view, scores)[:m]
+    in_top = np.bincount(top, minlength=view.num_nodes)
+    hits, deg = (view.binary @ in_top)[top], view.node_degree[top]
+    # cumsum adds left to right in rank order (np.sum adds pairwise); the last entry is the total
+    total = np.cumsum(hits[deg > 0] / deg[deg > 0])
+    return float(total[-1]) / m if len(total) else 0.0

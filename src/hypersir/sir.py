@@ -194,16 +194,12 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = view.num_nodes
-    seeds = [int(s) for s in seeds]
-    if seeds and (min(seeds) < 0 or max(seeds) >= n):
-        raise ValueError("seed id out of range")
     t_max = params.t_max if params.t_max is not None else 10 * n
 
     rng = np.random.default_rng(params.rng_seed)
     channels = _channels(view, simplices, params.beta1, params.beta2)
-    status = np.zeros((runs, n), dtype=np.int8)
+    status = np.tile(initial_state(n, seeds).status, (runs, 1))
     age = np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma)))
-    status[:, seeds] = I
     final, live, u = status.copy(), np.arange(runs), np.empty((runs, n))
     for t in count():
         going = (status == I).any(axis=1)
@@ -230,6 +226,8 @@ def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
     per-node triangle weight.  Values above 1 are clamped with a warning.
     """
     mu = 1.0 / gamma
+    if not (lambda1 >= 0.0 and lambda2 >= 0.0):  # also catches NaN
+        raise ValueError(f"lambda1 and lambda2 must be nonnegative, got {lambda1}, {lambda2}")
     if lambda1 > 0.0 and k1 <= 0.0:
         raise ValueError("k1 must be positive when lambda1 > 0")
     if lambda2 > 0.0 and k2 <= 0.0:

@@ -448,6 +448,79 @@ def brute_collective_influence(num_nodes, hyperedges, beta1, gamma):
     return scores
 
 
+def _selection_order(view, primary):
+    """Node ids by primary desc, weighted degree desc, id asc."""
+    n = view.num_nodes
+    return np.lexsort((np.arange(n), -view.weighted_degree, -np.asarray(primary)))
+
+
+def reference_cia_select(view, scores, k):
+    """CIA picks by a walk of the ranked list, then a second pass that
+    admits the set-aside neighbours of chosen seeds in rank order."""
+    order = _selection_order(view, scores)
+    binary = view.binary
+    blocked = np.zeros(view.num_nodes, dtype=bool)
+    chosen, skipped = [], []
+    for v in order:
+        if len(chosen) == k:
+            break
+        v = int(v)
+        if blocked[v]:
+            skipped.append(v)
+            continue
+        chosen.append(v)
+        blocked[binary.indices[binary.indptr[v]: binary.indptr[v + 1]]] = True
+    for v in skipped:
+        if len(chosen) == k:
+            break
+        chosen.append(v)
+    return tuple(chosen)
+
+
+def reference_adaptive_select(view, k, method):
+    """hadp / hsdp picks by a full re-sort of every node before each pick.
+
+    hsdp takes 1 off each neighbour of the pick; hadp takes the number of
+    neighbours it shares with the pick, plus 1, floored at 0.
+    """
+    binary = view.binary
+    d = view.node_degree.astype(np.int64).copy()
+    available = np.ones(view.num_nodes, dtype=bool)
+    chosen = []
+    for _ in range(k):
+        order = _selection_order(view, d)
+        pick = next(int(v) for v in order if available[v])
+        chosen.append(pick)
+        available[pick] = False
+        nbrs = binary.indices[binary.indptr[pick]: binary.indptr[pick + 1]]
+        if method == "hsdp":
+            d[nbrs] -= 1
+        else:
+            row = np.zeros(view.num_nodes, dtype=np.int64)
+            row[nbrs] = 1
+            shared = binary[nbrs] @ row
+            d[nbrs] = np.maximum(0, d[nbrs] - (shared + 1))
+    return tuple(chosen)
+
+
+def reference_top_overlap(view, scores, n_percent):
+    """Mean over the top max(1, round(n% of N)) ranked nodes of the share of
+    each one's neighbours that are top nodes too, accumulated node by node
+    in rank order; nodes without neighbours add zero."""
+    order = _selection_order(view, scores)
+    m = max(1, int(round(n_percent / 100.0 * view.num_nodes)))
+    top = order[:m]
+    in_top = np.zeros(view.num_nodes, dtype=bool)
+    in_top[top] = True
+    binary = view.binary
+    total = 0.0
+    for v in top:
+        nbrs = binary.indices[binary.indptr[v]: binary.indptr[v + 1]]
+        if len(nbrs):
+            total += in_top[nbrs].mean()
+    return total / m
+
+
 def enumerate_small_hypergraphs(num_nodes=4, max_edges=3):
     """Isomorphism classes of hypergraphs on num_nodes labeled nodes.
 

@@ -204,6 +204,7 @@ def test_cli_error_exit_codes(tmp_path):
     spaced = tmp_path / "spaced.txt"
     spaced.write_text("x y,z\nz,w\n")
     assert main(["stats", "--dataset", str(spaced)]) == 2  # label "x y" cannot be saved
+    assert main(["bench", "--sizes", "1", "2", "--output-dir", str(tmp_path / "b")]) == 2
 
 
 @pytest.mark.parametrize("doc", [
@@ -212,17 +213,40 @@ def test_cli_error_exit_codes(tmp_path):
     {"runs": 10.5},
     {"gamma": 1.5},
     {"runs": True},
-], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs"])
+    {"beta1": None, "lambda1": [-0.5]},
+    {"lambda2": [float("nan")]},
+    {"beta1": [0.5, -0.1]},
+    {"beta2": [float("inf")]},
+    {"k_absolute": [1.7]},
+    {"k_absolute": [True]},
+    {"sizes": [1, 2]},
+    {"mean_degree": 0.0},
+    {"mean_degree": -3.5},
+], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
+        "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
+        "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
+        "negative_mean_degree"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
-    # malformed value can make the run exit 2
+    # malformed value can make the run exit 2; the error names it
     base = {"dataset": str(triangle_file(tmp_path)), "beta1": [0.5], "k_absolute": [1],
             "runs": 2, "output_dir": str(tmp_path / "out")}
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(doc if "generator" in doc else {**base, **doc}))
     assert main(["experiment", "--config", str(cfgp)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("error:") for line in err)
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert err and ("bogus" if "generator" in doc else list(doc)[-1]) in err[0]
+
+
+def test_rates_above_one_fail_per_cell_but_not_in_spectrum(tmp_path):
+    tri = str(triangle_file(tmp_path))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--dataset", tri, "--beta1", "0.5", "1.5", "--k-absolute", "1",
+                 "--methods", "degree", "--runs", "2", "--output-dir", str(out)]) == 1
+    rows = (out / "results.csv").read_text().splitlines()[2:]
+    assert rows[0].endswith(",") and "beta1 must lie in [0, 1]" in rows[1]
+    assert main(["spectrum", "--dataset", tri, "--beta1", "1.5",
+                 "--output-dir", str(tmp_path / "spec")]) == 0
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import hypersir as hs
-from oracles import brute_collective_influence
+from oracles import (brute_collective_influence, reference_adaptive_select,
+                     reference_cia_select, reference_top_overlap)
 
 HUB_FORK = [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5],
             [1, 2], [1, 3], [1, 4],
@@ -246,3 +247,49 @@ def test_seed_set_csv_and_validation(tmp_path):
     rows = cp.read_text().splitlines()
     assert rows[:2] == ["# schema=ci_scores.v1", "node_id,score"]
     assert rows[2:] == [f"{i},{s:.10g}" for i, s in enumerate(ci.scores)]
+
+
+def tie_heavy_view(rng, n):
+    """Up to 2n hyperedges of 2-4 nodes, each doubled with probability 0.3, so
+    many nodes tie on degree and weighted degree and some stay isolated."""
+    edges = []
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        s = int(rng.integers(2, min(n, 4) + 1))
+        edges.append(sorted(rng.choice(n, size=s, replace=False).tolist()))
+        if rng.random() < 0.3:
+            edges.append(list(edges[-1]))
+    return view_of(n, edges)
+
+
+def assert_selection_matches_oracles(v, scores, ks):
+    for k in ks:
+        for method in ("hadp", "hsdp"):
+            assert (hs.baseline_select(v, k, method).nodes
+                    == reference_adaptive_select(v, k, method)), (method, k)
+        assert hs.cia_select(v, scores, k).nodes == reference_cia_select(v, scores.scores, k)
+    for pct in (0.5, 5.0, 12.5, 33.0, 50.0, 99.0, 100.0):
+        assert (hs.top_overlap_probability(v, scores, pct)
+                == reference_top_overlap(v, scores.scores, pct)), pct
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_selection_equals_oracles_on_tie_heavy_graphs(seed):
+    rng = np.random.default_rng([5150, seed])
+    for case in range(60):
+        n = int(rng.integers(0, 2)) if case < 4 else int(rng.integers(2, 40))
+        v = tie_heavy_view(rng, n) if n >= 2 else view_of(n, [])
+        if case % 2:
+            scores = hs.CiScores(rng.integers(0, 3, n).astype(float), 1.0, 1.0)
+        else:
+            scores = hs.collective_influence(v, 1.0, 1.0)
+        ks = range(n + 1) if case < 10 else sorted({0, int(rng.integers(0, n + 1)), n})
+        assert_selection_matches_oracles(v, scores, ks)
+
+
+def test_selection_equals_oracles_on_sweep_gcc():
+    # the benchmark's scale-free instance: GCC of 4,488 nodes, k = 3%
+    spec = hs.GenSpec("scale_free", 5000, 10000, exponent=2.0, size_range=(2, 4),
+                      degree_range=(2, 60), rng_seed=1)
+    v = hs.build_adjacency(hs.giant_component(hs.generate(spec))[0])
+    assert v.num_nodes == 4488
+    assert_selection_matches_oracles(v, hs.collective_influence(v, 1.0, 1.0), [135])

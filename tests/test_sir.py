@@ -24,6 +24,14 @@ def test_params_validation():
         hs.EpidemicParams(beta1=0.5, gamma=0)
 
 
+def test_run_sir_rejects_out_of_range_seeds():
+    v, ts = views(4, [(0, 1, 2), (2, 3)])
+    params = hs.EpidemicParams(beta1=0.5)
+    for seeds in ([4], [0, -1]):
+        with pytest.raises(ValueError, match="seed id out of range"):
+            hs.run_sir(v, ts, seeds, params, runs=3)
+
+
 def test_zero_infectivity_recovers_seeds_only():
     v, ts = views(5, [(0, 1, 2), (2, 3, 4)])
     for gamma in (1, 3):
@@ -212,6 +220,9 @@ def test_rescale_params_formula_and_errors():
     with pytest.warns(UserWarning):
         b1, _ = hs.rescale_params(10.0, 0.0, 0.5, 0.0)
     assert b1 == 1.0
+    for lam1, lam2 in ((-0.5, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            hs.rescale_params(lam1, lam2, 2.0, 2.0)
 
 
 def test_classify_bistable_edges():
