@@ -20,6 +20,8 @@ import numbers
 import os
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,14 +256,8 @@ def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> See
 
 
 def _cell_rates(mode1, v1, mode2, v2, k1, k2, gamma):
-    if mode1 == "lambda1":
-        b1 = rescale_params(v1, 0.0, k1, 1.0, gamma)[0]
-    else:
-        b1 = float(v1)
-    if mode2 == "lambda2":
-        b2 = rescale_params(0.0, v2, 1.0, k2, gamma)[1]
-    else:
-        b2 = float(v2)
+    b1 = rescale_params(v1, 0.0, k1, 1.0, gamma)[0] if mode1 == "lambda1" else float(v1)
+    b2 = rescale_params(0.0, v2, 1.0, k2, gamma)[1] if mode2 == "lambda2" else float(v2)
     return b1, b2
 
 
@@ -427,9 +423,18 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _single_beta1(cfg: ExperimentConfig) -> float:
+    """The one pairwise rate of ``spectrum`` and ``fig3``; 1.0 if none is given."""
+    if cfg.beta1 is None:
+        return 1.0
+    if len(cfg.beta1) > 1:
+        raise ValueError(f"this command takes one beta1 value, got {cfg.beta1}")
+    return float(cfg.beta1[0])
+
+
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
+    b1 = _single_beta1(cfg)
     inp = prepare_input(cfg)
-    b1 = float(cfg.beta1[0]) if cfg.beta1 else 1.0
     op = build_wnb(inp.view, b1, cfg.gamma)
     res = leading_eigen(op)
     bstar = critical_beta1(inp.view, gamma=cfg.gamma)
@@ -448,8 +453,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_fig3(cfg: ExperimentConfig) -> int:
+    b1 = _single_beta1(cfg)
     inp = prepare_input(cfg)
-    b1 = float(cfg.beta1[0]) if cfg.beta1 else 1.0
     scores = collective_influence(inp.view, b1, cfg.gamma)
     rows = [{"n_percent": float(nn),
              "overlap_probability": top_overlap_probability(inp.view, scores, nn)}
@@ -489,42 +494,33 @@ COMMANDS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser) -> None:
+def _flag_kwargs(tp) -> dict:
+    """argparse keywords for a field annotated ``tp``: ``X | None`` reads
+    as X, ``bool`` as --x/--no-x, ``list[T]`` as one or more T and
+    ``tuple[T, ...]`` as exactly that many T."""
+    if typing.get_origin(tp) is types.UnionType:
+        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is bool:
+        return {"action": argparse.BooleanOptionalAction}
+    if origin is list:
+        return {"nargs": "+", "type": args[0]}
+    if origin is tuple:
+        return {"nargs": len(args), "type": args[0]}
+    return {"type": tp}
+
+
+def _add_flags(p: argparse.ArgumentParser, hints: dict, gen_hints: dict) -> None:
+    """One flag per config field and per generator field, in field order;
+    ``hints`` and ``gen_hints`` are the two classes' resolved annotations."""
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--dataset", help="hyperedge-list input path")
-    p.add_argument("--nverts", help="size-sequence file of the paired format")
-    p.add_argument("--simplices", help="flattened-member file of the paired format")
-    p.add_argument("--lambda1", nargs="+", type=float)
-    p.add_argument("--lambda2", nargs="+", type=float)
-    p.add_argument("--beta1", nargs="+", type=float)
-    p.add_argument("--beta2", nargs="+", type=float)
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--k-absolute", nargs="+", type=int, dest="k_absolute")
-    p.add_argument("--k-percent", nargs="+", type=float, dest="k_percent")
-    p.add_argument("--methods", nargs="+")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--rng-seed", type=int, dest="rng_seed")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--name")
-    p.add_argument("--use-gcc", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--size-cap", type=int, dest="size_cap")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--sizes", nargs="+", type=int)
-    p.add_argument("--mean-degree", type=float, dest="mean_degree")
-    p.add_argument("--bench-repeats", type=int, dest="bench_repeats")
-    p.add_argument("--n-grid", nargs="+", type=float, dest="n_grid")
-    p.add_argument("--dump-operator", action=argparse.BooleanOptionalAction,
-                   default=None, dest="dump_operator")
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name != "generator":
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           **_flag_kwargs(hints[f.name]))
     gen = p.add_argument_group("generator block overrides")
-    gen.add_argument("--family", choices=("scale_free", "erdos_renyi", "d_uniform"))
-    gen.add_argument("--num-nodes", type=int, dest="num_nodes")
-    gen.add_argument("--num-hyperedges", type=int, dest="num_hyperedges")
-    gen.add_argument("--exponent", type=float)
-    gen.add_argument("--membership-p", type=float, dest="membership_p")
-    gen.add_argument("--uniform-size", type=int, dest="uniform_size")
-    gen.add_argument("--degree-range", nargs=2, type=int, dest="degree_range")
-    gen.add_argument("--size-range", nargs=2, type=int, dest="size_range")
-    gen.add_argument("--gen-seed", type=int, dest="gen_seed")
+    for dest, key in GEN_FLAG_KEYS.items():
+        gen.add_argument("--" + dest.replace("_", "-"), dest=dest, **_flag_kwargs(gen_hints[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,9 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contagion, thresholds, and seed selection on hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(ExperimentConfig), typing.get_type_hints(GenSpec)
     for cmd, fn in COMMANDS.items():
         p = sub.add_parser(cmd)
-        _add_flags(p)
+        _add_flags(p, *hints)
         p.set_defaults(func=fn)
     return parser
 

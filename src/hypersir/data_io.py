@@ -168,9 +168,6 @@ class DatasetStats:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def write_json(self, path) -> None:
-        write_json(path, self.to_dict())
-
 
 STATS_COLUMNS = (
     "dataset", "n", "m", "gcc_size", "mean_node_degree", "mean_hyperdegree",

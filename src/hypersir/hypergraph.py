@@ -189,20 +189,16 @@ class TwoSimplexSet:
 def enumerate_two_simplices(
     h: Hypergraph,
     size_cap: int = DEFAULT_TRIPLE_EDGE_CAP,
-    mode: str = "containment",
 ) -> TwoSimplexSet:
     """Enumerate weighted 2-simplices of ``h``.
 
-    mode="containment" (default): every 3-subset of every hyperedge is a
-    triple.  mode="size3only": only hyperedges of exactly size 3 count.
-    Hyperedges larger than ``size_cap`` are skipped (C(s,3) blow-up) and
-    tallied in ``skipped_hyperedges``; they still contribute pairwise
-    adjacency elsewhere.
+    Every 3-subset of every hyperedge is a triple.  Hyperedges larger
+    than ``size_cap`` are skipped (C(s,3) blow-up) and tallied in
+    ``skipped_hyperedges``; they still contribute pairwise adjacency
+    elsewhere.
     """
-    if mode not in ("containment", "size3only"):
-        raise ValueError(f"unknown two-simplex mode: {mode!r}")
     sizes = np.diff(h.edge_ptr)
-    counted = sizes == 3 if mode == "size3only" else sizes >= 3
+    counted = sizes >= 3
     skipped = int(np.count_nonzero(counted & (sizes > size_cap)))
     counted &= sizes <= size_cap
     starts = h.edge_ptr[:-1]
@@ -339,7 +335,6 @@ def simplex_densities(
     h: Hypergraph,
     view: AdjacencyView | None = None,
     simplices: TwoSimplexSet | None = None,
-    size_cap: int = DEFAULT_TRIPLE_EDGE_CAP,
 ) -> tuple[float, float]:
     """Mean weighted 1-simplex and 2-simplex counts per node.
 
@@ -352,7 +347,7 @@ def simplex_densities(
     if view is None:
         view = build_adjacency(h)
     if simplices is None:
-        simplices = enumerate_two_simplices(h, size_cap=size_cap)
+        simplices = enumerate_two_simplices(h)
     k1 = float(view.weighted_degree.mean())
     k2 = float(simplices.node_triple_weight.mean())
     return k1, k2

@@ -2,17 +2,24 @@
 
 Messages live on directed links of the binary adjacency: the value for
 link (i -> j) is the state distribution of node i computed with node j
-virtually removed, which suppresses backtracking infection and makes
-the scheme exact on pairwise trees.  Escape products are taken in the
-log domain: one sum per node, the cavity as that sum minus the link's
-own factors, and exact-zero factors counted as integers beside it, so
-neither underflow nor certain transmission can divide 0 by 0.
-Linearizing the infected block of the update around the
-all-susceptible point yields a weighted non-backtracking operator; its
-spectral radius decides whether a vanishing infection seed grows or
-dies, and downstream influence scoring reuses the same operator.  It
-is applied matrix-free; a CSR form is built only for small-instance
-oracles and ``--dump-operator``.
+virtually removed, which suppresses backtracking infection.  Escape
+products are taken in the log domain: one sum per node, the cavity as
+that sum minus the link's own factors, and exact-zero factors counted
+as integers beside it, so neither underflow nor certain transmission
+can divide 0 by 0.  The factors of a neighbour's per-step infection
+marginal are multiplied as if independent across steps and contacts,
+so the final marginals are exact only where a node can be infected at
+one step by one contact: pairwise forests with unit multiplicities,
+gamma = 1 and at most one seed per tree.  Elsewhere they approximate: a
+doubled edge (1, 2) on the path 0-1-2 at beta1 0.45 gives node 2 0.364
+against an exact 0.314, and gamma = 2 on 5-9-node trees errs by up to
+0.07 per node.  Linearizing the infected block of the update around the
+all-susceptible point yields the weighted non-backtracking operator
+beta1 * gamma * A_NB (Karrer & Newman, PRE 82:016101, 2010), which
+defines the threshold, so those limits do not reach it: its spectral
+radius decides whether a vanishing infection seed grows or dies, and
+influence scoring reuses it.  It is applied matrix-free; a CSR form is
+built only for small-instance oracles and ``--dump-operator``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .data_io import write_json
 from .hypergraph import (
     AdjacencyView,
     Hypergraph,
@@ -94,7 +100,8 @@ class MessageState:
     distribution of i with j removed.  Node marginals integrate the full
     (non-cavity) escape product alongside the messages, so the final
     recovered marginal is available without a separate history pass.
-    Solver metadata is filled in by :func:`mp_solve`.
+    :func:`initial_messages` builds ``plumb``; :func:`mp_solve` fills
+    in the solver metadata.
     """
 
     links: LinkIndex
@@ -104,12 +111,12 @@ class MessageState:
     node_s: np.ndarray
     node_i: np.ndarray
     node_r: np.ndarray
+    plumb: _CavityPlumb = field(repr=False, compare=False)
     step: int = 0
     converged: bool | None = None
     iterations: int | None = None
     residual: float | None = None
     trace: list[float] | None = field(default=None, repr=False)
-    _plumb: _CavityPlumb | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_links(self) -> int:
@@ -135,17 +142,10 @@ class MessageState:
             raise ValueError("node state sums deviate from 1")
 
 
-def initial_messages(
-    view: AdjacencyView,
-    simplices: TwoSimplexSet | None,
-    seeds,
-    links: LinkIndex | None = None,
-) -> MessageState:
+def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds) -> MessageState:
     """Seeded start state: out-messages and marginals of seeds are infected."""
-    if links is None:
-        links = build_link_index(view)
-    n = links.num_nodes
-    num_links = links.num_links
+    links = build_link_index(view)
+    n, num_links = links.num_nodes, links.num_links
     i_msg = np.zeros(num_links)
     node_i = np.zeros(n)
     for s in seeds:
@@ -154,7 +154,7 @@ def initial_messages(
             raise ValueError(f"seed {s} out of range")
         i_msg[links.out_links(s)] = 1.0
         node_i[s] = 1.0
-    state = MessageState(
+    return MessageState(
         links=links,
         s_msg=1.0 - i_msg,
         i_msg=i_msg,
@@ -162,9 +162,8 @@ def initial_messages(
         node_s=1.0 - node_i,
         node_i=node_i,
         node_r=np.zeros(n),
-        _plumb=_build_plumb(links, simplices),
+        plumb=_build_plumb(links, simplices),
     )
-    return state
 
 
 def _log_factors(x: np.ndarray, power: np.ndarray):
@@ -192,10 +191,7 @@ def _escape_products(msgs: MessageState, params: EpidemicParams):
     target).  Factors equal to 0 (certain transmission) are counted as
     integers the same way and force an exact 0 after the ``exp``.
     """
-    links = msgs.links
-    plumb = msgs._plumb
-    if plumb is None:
-        raise ValueError("message state lacks cavity plumbing; build it via initial_messages")
+    links, plumb = msgs.links, msgs.plumb
     n, num_links = links.num_nodes, links.num_links
 
     logf, zf = _log_factors(params.beta1 * msgs.i_msg, links.weight)
@@ -256,7 +252,6 @@ def mp_solve(
     seeds,
     tol: float = 1e-10,
     max_iters: int = 10_000,
-    links: LinkIndex | None = None,
 ) -> MessageState:
     """Iterate :func:`mp_step` from the seeded start to a fixed point.
 
@@ -271,7 +266,7 @@ def mp_solve(
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    state = initial_messages(view, simplices, seeds, links=links)
+    state = initial_messages(view, simplices, seeds)
     trace: list[float] = []
     delta = 0.0
     iterations = 0
@@ -360,20 +355,13 @@ class WnbOperator:
                 fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def build_wnb(
-    view: AdjacencyView,
-    beta1: float,
-    gamma: float,
-    links: LinkIndex | None = None,
-) -> WnbOperator:
+def build_wnb(view: AdjacencyView, beta1: float, gamma: float) -> WnbOperator:
     """The non-backtracking operator over the directed links of ``view``."""
     if beta1 < 0:
         raise ValueError("beta1 must be nonnegative")
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    if links is None:
-        links = build_link_index(view)
-    return WnbOperator(beta1=beta1, gamma=gamma, links=links)
+    return WnbOperator(beta1=beta1, gamma=gamma, links=build_link_index(view))
 
 
 @dataclass
@@ -386,20 +374,14 @@ class SpectralResult:
     residual: float
     converged: bool
 
-    def to_dict(self, include_eigvec: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "lambda_c": self.lambda_c,
             "iterations": self.iterations,
             "residual": self.residual,
             "converged": self.converged,
             "num_links": int(len(self.eigvec)),
         }
-        if include_eigvec:
-            out["eigvec"] = [float(x) for x in self.eigvec]
-        return out
-
-    def write_json(self, path, include_eigvec: bool = False) -> None:
-        write_json(path, self.to_dict(include_eigvec=include_eigvec))
 
 
 def leading_eigen(
@@ -459,12 +441,7 @@ def leading_eigen(
     return SpectralResult(lam, v, max_iters, resid, False)
 
 
-def critical_beta1(
-    view: AdjacencyView,
-    gamma: float = 1,
-    tol: float = 1e-10,
-    links: LinkIndex | None = None,
-) -> float:
+def critical_beta1(view: AdjacencyView, gamma: float = 1) -> float:
     """Pairwise infectivity where the zero-infection point loses stability.
 
     The operator scales linearly in beta1 * gamma, so the threshold is
@@ -472,8 +449,7 @@ def critical_beta1(
     Graphs without a non-backtracking cycle have radius 0 and no finite
     threshold; the result is then infinite.
     """
-    op = build_wnb(view, beta1=1.0, gamma=1.0, links=links)
-    rho = leading_eigen(op, tol=tol).lambda_c
+    rho = leading_eigen(build_wnb(view, beta1=1.0, gamma=1.0)).lambda_c
     if rho <= 0.0:
         return math.inf
     return 1.0 / (gamma * rho)

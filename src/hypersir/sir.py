@@ -22,7 +22,7 @@ from itertools import count
 import numpy as np
 import scipy.sparse as sp
 
-from .data_io import write_csv, write_json
+from .data_io import write_csv
 from .hypergraph import AdjacencyView, TwoSimplexSet
 
 S, I, R = 0, 1, 2
@@ -116,9 +116,6 @@ class OutbreakStats:
         write_csv(path, "run_detail", ("run", "sigma", "absorbed"), (
             {"run": r, "sigma": int(self.sigma_samples[r]), "absorbed": int(self.absorbed[r])}
             for r in range(self.runs)))
-
-    def write_summary_json(self, path) -> None:
-        write_json(path, self.summary())
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def brute_triples_by_scan(num_nodes, hyperedges, size_cap=25):
     return w
 
 
-def brute_two_simplices(num_nodes, hyperedges, size_cap=25, mode="containment"):
+def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
     """Every field of a two-simplex set, by a dict over per-edge 3-subsets.
 
     Returns {name: value} with the field and array-property names,
@@ -111,7 +111,7 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25, mode="containment"):
     skipped = 0
     for e in hyperedges:
         e = tuple(sorted(e))
-        if len(e) < 3 or (mode == "size3only" and len(e) != 3):
+        if len(e) < 3:
             continue
         if len(e) > size_cap:
             skipped += 1

@@ -1,5 +1,6 @@
 """Experiment harness: config handling, subcommands, output contracts."""
 
+import argparse
 import collections
 import json
 import shlex
@@ -18,6 +19,7 @@ from hypersir.cli import (
     main,
     resolve_seed_counts,
 )
+from hypersir.data_io import write_json
 
 SF_FLAGS = ["--family", "scale_free", "--num-nodes", "120",
             "--num-hyperedges", "200", "--exponent", "2",
@@ -197,6 +199,71 @@ def test_config_file_and_flag_override(tmp_path):
         load_config(bad)
 
 
+def test_parser_has_one_flag_per_config_field():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    want = sorted((cli.CONFIG_KEYS - {"generator"}) | set(cli.GEN_FLAG_KEYS) | {"config"})
+    assert "gen_seed" in want and "rng_seed" in want and "family" in want
+    for cmd, parser in sub.choices.items():
+        flags = [a for a in parser._actions if a.dest != "help"]
+        assert sorted(a.dest for a in flags) == want, cmd
+        for a in flags:
+            assert a.option_strings[0] == "--" + a.dest.replace("_", "-"), (cmd, a.dest)
+    with pytest.raises(SystemExit):  # a tuple field takes exactly its length
+        cli.build_parser().parse_args(["generate", "--size-range", "2", "3", "4"])
+
+
+EVERY_FLAG = [
+    "--dataset", "d.txt", "--nverts", "nv.txt", "--simplices", "sx.txt", "--gamma", "3",
+    "--methods", "degree", "hadp", "--runs", "9", "--rng-seed", "11", "--output-dir", "o",
+    "--name", "nm", "--no-use-gcc", "--size-cap", "6", "--workers", "2", "--sizes", "10", "20",
+    "--mean-degree", "4.5", "--bench-repeats", "5", "--n-grid", "2.5", "50", "--dump-operator",
+    "--family", "d_uniform", "--num-nodes", "30", "--num-hyperedges", "40", "--exponent", "2.5",
+    "--membership-p", "0.25", "--uniform-size", "4", "--degree-range", "1", "9",
+    "--size-range", "2", "5", "--gen-seed", "13",
+]
+
+
+@pytest.mark.parametrize("rates, want", [
+    (["--lambda1", "0.5", "1.5", "--lambda2", "2", "--k-absolute", "4", "7"],
+     {"lambda1": [0.5, 1.5], "lambda2": [2.0], "k_absolute": [4, 7]}),
+    (["--beta1", "0.25", "--beta2", "0.5", "0.75", "--k-percent", "1.5"],
+     {"beta1": [0.25], "beta2": [0.5, 0.75], "k_percent": [1.5]}),
+], ids=["lambda_grid", "beta_grid"])
+def test_every_flag_reaches_the_config(tmp_path, monkeypatch, rates, want):
+    # the file's values are all overridden; lambda/beta and the two k
+    # forms exclude each other, so the two argvs split them
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"runs": 1, "generator": {"family": "scale_free", "num_nodes": 5}}))
+    argv = ["experiment", "--config", str(cfgp), *EVERY_FLAG, *rates]
+    grids = {"lambda1", "lambda2", "beta1", "beta2", "k_absolute", "k_percent"}
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {dest for dest, val in args.items() if val is None} == grids - set(want)
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "experiment", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    assert seen == [ExperimentConfig(
+        generator={"family": "d_uniform", "num_nodes": 30, "num_hyperedges": 40,
+                   "exponent": 2.5, "membership_p": 0.25, "uniform_size": 4,
+                   "degree_range": [1, 9], "size_range": [2, 5], "rng_seed": 13},
+        dataset="d.txt", nverts="nv.txt", simplices="sx.txt", gamma=3,
+        methods=["degree", "hadp"], runs=9, rng_seed=11, output_dir="o", name="nm",
+        use_gcc=False, size_cap=6, workers=2, sizes=[10, 20], mean_degree=4.5,
+        bench_repeats=5, n_grid=[2.5, 50.0], dump_operator=True, **want)]
+
+
+def test_spectrum_and_fig3_take_one_beta1(tmp_path, capsys):
+    tri = str(triangle_file(tmp_path))
+    for cmd in ("spectrum", "fig3"):
+        out = tmp_path / cmd
+        assert main([cmd, "--dataset", tri, "--beta1", "0.2", "0.4",
+                     "--output-dir", str(out)]) == 2
+        assert "beta1" in capsys.readouterr().err
+        assert not (out / f"{cmd}.json").exists() and not (out / f"{cmd}.csv").exists()
+        assert main([cmd, "--dataset", tri, "--beta1", "0.4", "--output-dir", str(out)]) == 0
+
+
 def test_cli_error_exit_codes(tmp_path):
     assert main(["experiment", "--lambda1", "1.0"]) == 2        # no input
     assert main(["experiment", "--dataset", "x", "--methods", "nope"]) == 2
@@ -205,6 +272,7 @@ def test_cli_error_exit_codes(tmp_path):
     spaced.write_text("x y,z\nz,w\n")
     assert main(["stats", "--dataset", str(spaced)]) == 2  # label "x y" cannot be saved
     assert main(["bench", "--sizes", "1", "2", "--output-dir", str(tmp_path / "b")]) == 2
+    assert main(["generate", "--family", "bogus", "--num-nodes", "5"]) == 2
 
 
 @pytest.mark.parametrize("doc", [
@@ -466,10 +534,10 @@ def test_every_json_output_is_canonical(tmp_path):
             assert canonical_json(out / name), (cmd, name)
     h = hs.load_hyperedge_list(data)
     v = hs.build_adjacency(h)
-    hs.leading_eigen(hs.build_wnb(v, 0.5, 1)).write_json(tmp_path / "eig.json")
-    hs.dataset_stats(h).write_json(tmp_path / "ds.json")
-    hs.run_sir(v, None, [0], hs.EpidemicParams(beta1=0.3), runs=3).write_summary_json(
-        tmp_path / "sir.json")
+    write_json(tmp_path / "eig.json", hs.leading_eigen(hs.build_wnb(v, 0.5, 1)).to_dict())
+    write_json(tmp_path / "ds.json", hs.dataset_stats(h).to_dict())
+    write_json(tmp_path / "sir.json",
+               hs.run_sir(v, None, [0], hs.EpidemicParams(beta1=0.3), runs=3).summary())
     for name in ("eig.json", "ds.json", "sir.json"):
         assert canonical_json(tmp_path / name), name
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hypersir as hs
+from hypersir.data_io import write_json
 
 
 def write(tmp_path, name, text):
@@ -229,7 +230,7 @@ def test_stats_json_and_table(tmp_path):
     h = hs.Hypergraph(3, [[0, 1, 2]])
     st = hs.dataset_stats(h)
     jp = tmp_path / "stats.json"
-    st.write_json(jp)
+    write_json(jp, st.to_dict())
     loaded = json.loads(jp.read_text())
     assert loaded["n"] == 3 and loaded["k2_mean"] == 1.0
     tp = tmp_path / "table.csv"

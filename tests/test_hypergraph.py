@@ -195,17 +195,6 @@ def test_triples_match_brute_force_scan():
         assert got == oracles.brute_triples_by_scan(n, h.hyperedges)
 
 
-def test_size3only_mode_ignores_larger_edges():
-    h = hs.Hypergraph(5, [(0, 1, 2), (0, 1, 2, 3)])
-    strict = hs.enumerate_two_simplices(h, mode="size3only")
-    assert strict.triples.tolist() == [[0, 1, 2]]
-    assert strict.weights.tolist() == [1]
-    loose = hs.enumerate_two_simplices(h)
-    assert loose.weights.sum() == 1 + 4
-    with pytest.raises(ValueError):
-        hs.enumerate_two_simplices(h, mode="bogus")
-
-
 def test_size_cap_skips_and_reports():
     big = list(range(30))
     h = hs.Hypergraph(30, [big, (0, 1, 2)])
@@ -233,8 +222,7 @@ def assert_two_simplices_match_oracle(h, **kw):
             assert type(got) is type(want) and got == want, name
 
 
-@pytest.mark.parametrize("kw", [{}, {"size_cap": 4}, {"mode": "size3only"}],
-                         ids=["containment", "size_cap_4", "size3only"])
+@pytest.mark.parametrize("kw", [{}, {"size_cap": 4}], ids=["containment", "size_cap_4"])
 def test_two_simplices_match_dict_oracle(kw):
     rng = np.random.default_rng(11)
     for _ in range(40):

@@ -9,6 +9,7 @@ import pytest
 
 import hypersir as hs
 from hypersir import message_passing
+from hypersir.data_io import write_json
 from oracles import exact_final_marginals, leave_one_out_escape
 
 PATH5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
@@ -131,6 +132,30 @@ def test_tree_marginals_match_enumeration(edges, seed, b1):
         assert np.allclose(marg.sum(axis=1), 1.0)
 
 
+def test_forest_marginals_match_enumeration_at_unit_gamma():
+    # the cavity solver's exactness domain: pairwise forests with unit
+    # multiplicities, gamma = 1 and at most one seed per tree, where a
+    # node can only be infected at one step
+    rng = np.random.default_rng(2010)
+    for _ in range(120):
+        n = int(rng.integers(5, 10))
+        tree = list(range(n))
+        edges = []
+        for i in range(1, n):
+            if rng.random() < 0.8:  # else node i roots a new tree
+                j = int(rng.integers(i))
+                edges.append([j, i])
+                tree[i] = tree[j]
+        roots = np.unique(tree)
+        seeded = rng.choice(roots, size=int(rng.integers(1, len(roots) + 1)), replace=False)
+        seeds = [int(rng.choice(np.flatnonzero(np.equal(tree, r)))) for r in seeded]
+        v, ts = views(n, edges)
+        for b1 in (float(rng.uniform(0.05, 0.95)), 1.0):
+            st = hs.mp_solve(v, ts, hs.EpidemicParams(beta1=b1, beta2=0.0, gamma=1), seeds)
+            exact = exact_final_marginals(n, edges, seeds, b1, 0.0, 1)
+            assert np.abs(st.node_r - exact).max() <= 1e-9, (edges, seeds, b1)
+
+
 def test_tree_outbreak_size_matches_monte_carlo():
     v, ts = views(6, STAR_LEG)
     par = hs.EpidemicParams(beta1=0.45, beta2=0.0, gamma=1, rng_seed=33)
@@ -219,8 +244,8 @@ def test_operator_row_counts_match_in_degrees():
     graphs.append(hs.Hypergraph(5, [[0, 1, 2], [0, 1, 2], [1, 2, 3], [2, 3, 4], [2, 3, 4]]))
     for g in graphs:
         v = hs.build_adjacency(g)
-        li = hs.build_link_index(v)
-        op = hs.build_wnb(v, 0.4, 2, links=li)
+        op = hs.build_wnb(v, 0.4, 2)
+        li = op.links
         nnz_per_row = np.diff(op.skeleton.indptr)
         in_deg = np.diff(li.out_ptr)
         assert np.array_equal(nnz_per_row, in_deg[li.src] - 1)
@@ -272,10 +297,9 @@ def test_power_iteration_matches_dense_on_small_operators():
     while checked < 10:
         g = random_hypergraph(rng, 3, 5, 1, 4, s_hi=3)
         v = hs.build_adjacency(g)
-        li = hs.build_link_index(v)
-        if li.num_links == 0 or li.num_links > 12:
+        op = hs.build_wnb(v, float(rng.uniform(0.1, 1.0)), int(rng.integers(1, 3)))
+        if op.num_links == 0 or op.num_links > 12:
             continue
-        op = hs.build_wnb(v, float(rng.uniform(0.1, 1.0)), int(rng.integers(1, 3)), links=li)
         res = hs.leading_eigen(op, tol=1e-12)
         dense = np.max(np.abs(np.linalg.eigvals(op.matrix.toarray())))
         assert abs(res.lambda_c - dense) <= 1e-8
@@ -332,11 +356,11 @@ def test_spectral_json_and_coo_dump(tmp_path):
     op = hs.build_wnb(v, 0.5, 1.0)
     res = hs.leading_eigen(op)
     p = tmp_path / "spec.json"
-    res.write_json(p, include_eigvec=True)
+    write_json(p, res.to_dict())
     loaded = json.loads(p.read_text())
     assert loaded["lambda_c"] == pytest.approx(0.5)
     assert loaded["converged"] is True
-    assert len(loaded["eigvec"]) == 6
+    assert loaded["num_links"] == len(res.eigvec) == 6
     dump = tmp_path / "op.txt"
     op.dump_coo(dump)
     rows = []

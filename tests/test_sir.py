@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import hypersir as hs
+from hypersir.data_io import write_json
 import oracles
 
 
@@ -249,7 +250,7 @@ def test_outbreak_stats_serialization(tmp_path):
     assert lines[1] == "run,sigma,absorbed"
     assert len(lines) == 2 + 12
     json_path = tmp_path / "summary.json"
-    stats.write_summary_json(json_path)
+    write_json(json_path, stats.summary())
     summary = json.loads(json_path.read_text())
     assert summary["runs"] == 12
     assert summary["non_absorbed"] == 0
