@@ -43,6 +43,7 @@ from .influence import (
     collective_influence,
     ranked_nodes,
     top_overlap_probability,
+    top_overlap_curve,
 )
 from .message_passing import (
     MessageState,
@@ -54,7 +55,6 @@ from .message_passing import (
     leading_eigen,
     mp_solve,
     mp_step,
-    node_marginals,
 )
 from .sir import (
     EpidemicParams,
@@ -107,6 +107,7 @@ __all__ = [
     "collective_influence",
     "ranked_nodes",
     "top_overlap_probability",
+    "top_overlap_curve",
     "MessageState",
     "SpectralResult",
     "WnbOperator",
@@ -116,6 +117,5 @@ __all__ = [
     "leading_eigen",
     "mp_solve",
     "mp_step",
-    "node_marginals",
     "__version__",
 ]

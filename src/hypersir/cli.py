@@ -48,7 +48,7 @@ from .influence import (
     baseline_select,
     cia_select,
     collective_influence,
-    top_overlap_probability,
+    top_overlap_curve,
 )
 from .message_passing import build_wnb, critical_beta1, leading_eigen
 from .sir import EpidemicParams, rescale_params, run_sir
@@ -456,9 +456,9 @@ def cmd_fig3(cfg: ExperimentConfig) -> int:
     b1 = _single_beta1(cfg)
     inp = prepare_input(cfg)
     scores = collective_influence(inp.view, b1, cfg.gamma)
-    rows = [{"n_percent": float(nn),
-             "overlap_probability": top_overlap_probability(inp.view, scores, nn)}
-            for nn in cfg.n_grid]
+    curve = top_overlap_curve(inp.view, scores, cfg.n_grid)
+    rows = [{"n_percent": float(nn), "overlap_probability": p}
+            for nn, p in zip(cfg.n_grid, curve)]
     outdir = _outdir(cfg)
     write_csv(outdir / "fig3.csv", "overlap_sweep",
                ("n_percent", "overlap_probability"), rows)

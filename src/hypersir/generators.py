@@ -130,7 +130,7 @@ def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
             p = q
             i += 1
         if len(members) >= 2:
-            edges.append(sorted(members))
+            edges.append(members)
     return Hypergraph(n, edges)
 
 
@@ -147,13 +147,7 @@ def gen_er_bipartite(spec: GenSpec) -> Hypergraph:
     rng = np.random.default_rng(spec.rng_seed)
     p = spec.membership_p
     counts = rng.binomial(n, p, size=m)
-    edges = []
-    for c in counts:
-        if c == 0:
-            continue
-        members = rng.choice(n, size=int(c), replace=False)
-        edges.append(sorted(int(v) for v in members))
-    return Hypergraph(n, edges)
+    return Hypergraph(n, [rng.choice(n, size=int(c), replace=False) for c in counts if c])
 
 
 def gen_d_uniform(spec: GenSpec) -> Hypergraph:

@@ -109,7 +109,6 @@ class AdjacencyView:
     binary: sp.csr_matrix
     node_degree: np.ndarray
     hyperdegree: np.ndarray
-    edge_sizes: np.ndarray
     weighted_degree: np.ndarray
 
 
@@ -132,7 +131,6 @@ def build_adjacency(h: Hypergraph) -> AdjacencyView:
     )
     node_degree = np.asarray(binary.sum(axis=1)).ravel().astype(np.int64)
     hyperdegree = np.bincount(h.members, minlength=h.num_nodes)
-    edge_sizes = np.diff(h.edge_ptr)
     weighted_degree = np.asarray(weighted.sum(axis=1)).ravel().astype(np.int64)
     return AdjacencyView(
         num_nodes=h.num_nodes,
@@ -140,7 +138,6 @@ def build_adjacency(h: Hypergraph) -> AdjacencyView:
         binary=binary,
         node_degree=node_degree,
         hyperdegree=hyperdegree,
-        edge_sizes=edge_sizes,
         weighted_degree=weighted_degree,
     )
 
@@ -252,12 +249,13 @@ def enumerate_two_simplices(
 class LinkIndex:
     """Enumeration of the directed binary links (i -> j), Atilde_ij = 1.
 
-    Links are sorted by (src, dst), so ids of links out of a node are
-    contiguous and :meth:`link_ids` finds ids by binary search.
-    ``reverse[e]`` is the id of the opposite link, and ``weight[e]`` the
-    shared-hyperedge count of the underlying pair.  The adjacency is
-    symmetric, so ``reverse`` over node i's out-link range lists the
-    links into i in ascending source order.
+    Links are sorted by (src, dst), so the links out of node i are the
+    id range ``out_ptr[i]:out_ptr[i + 1]`` and :meth:`link_ids` finds
+    ids by binary search.  ``reverse[e]`` is the id of the opposite
+    link, and ``weight[e]`` the shared-hyperedge count of the underlying
+    pair.  The adjacency is symmetric, so
+    ``reverse[out_ptr[i]:out_ptr[i + 1]]`` lists the links into i in
+    ascending source order.
     """
 
     num_nodes: int
@@ -280,15 +278,6 @@ class LinkIndex:
                 and np.array_equal(self.dst[ids], dst)):
             raise KeyError("node pairs absent from the link index")
         return ids
-
-    def link_id(self, i: int, j: int) -> int:
-        return int(self.link_ids([i], [j])[0])
-
-    def out_links(self, i: int) -> np.ndarray:
-        return np.arange(self.out_ptr[i], self.out_ptr[i + 1])
-
-    def in_links(self, i: int) -> np.ndarray:
-        return self.reverse[self.out_ptr[i]: self.out_ptr[i + 1]]
 
 
 def build_link_index(view: AdjacencyView) -> LinkIndex:

@@ -27,6 +27,7 @@ __all__ = [
     "cia_select",
     "baseline_select",
     "top_overlap_probability",
+    "top_overlap_curve",
     "BASELINE_METHODS",
 ]
 
@@ -214,12 +215,23 @@ def top_overlap_probability(
     The top set is the first max(1, round(n% of N)) nodes of the ranked
     order.  Top nodes without neighbors contribute zero overlap.
     """
-    if not 0 < n_percent <= 100:
+    return top_overlap_curve(view, scores, [n_percent])[0]
+
+
+def top_overlap_curve(
+    view: AdjacencyView, scores: CiScores | np.ndarray, n_grid
+) -> list[float]:
+    """:func:`top_overlap_probability` at each n% of ``n_grid``, ranking once."""
+    if not all(0 < n_percent <= 100 for n_percent in n_grid):
         raise ValueError("n_percent must lie in (0, 100]")
-    m = max(1, int(round(n_percent / 100.0 * view.num_nodes)))
-    top = ranked_nodes(view, scores)[:m]
-    in_top = np.bincount(top, minlength=view.num_nodes)
-    hits, deg = (view.binary @ in_top)[top], view.node_degree[top]
-    # cumsum adds left to right in rank order (np.sum adds pairwise); the last entry is the total
-    total = np.cumsum(hits[deg > 0] / deg[deg > 0])
-    return float(total[-1]) / m if len(total) else 0.0
+    order = ranked_nodes(view, scores)
+    curve = []
+    for n_percent in n_grid:
+        m = max(1, int(round(n_percent / 100.0 * view.num_nodes)))
+        top = order[:m]
+        in_top = np.bincount(top, minlength=view.num_nodes)
+        hits, deg = (view.binary @ in_top)[top], view.node_degree[top]
+        # cumsum adds left to right in rank order (np.sum adds pairwise); the last entry is the total
+        total = np.cumsum(hits[deg > 0] / deg[deg > 0])
+        curve.append(float(total[-1]) / m if len(total) else 0.0)
+    return curve

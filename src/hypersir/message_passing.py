@@ -39,7 +39,7 @@ from .hypergraph import (
     build_link_index,
     enumerate_two_simplices,
 )
-from .sir import EpidemicParams
+from .sir import I, EpidemicParams, initial_state
 
 __all__ = [
     "MessageState",
@@ -48,7 +48,6 @@ __all__ = [
     "initial_messages",
     "mp_step",
     "mp_solve",
-    "node_marginals",
     "build_wnb",
     "leading_eigen",
     "critical_beta1",
@@ -101,7 +100,7 @@ class MessageState:
     (non-cavity) escape product alongside the messages, so the final
     recovered marginal is available without a separate history pass.
     :func:`initial_messages` builds ``plumb``; :func:`mp_solve` fills
-    in the solver metadata.
+    in the solver metadata, whose ``iterations`` counts the steps taken.
     """
 
     links: LinkIndex
@@ -112,19 +111,10 @@ class MessageState:
     node_i: np.ndarray
     node_r: np.ndarray
     plumb: _CavityPlumb = field(repr=False, compare=False)
-    step: int = 0
     converged: bool | None = None
     iterations: int | None = None
     residual: float | None = None
     trace: list[float] | None = field(default=None, repr=False)
-
-    @property
-    def num_links(self) -> int:
-        return len(self.s_msg)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_s)
 
     def validate(self, tol: float = 1e-9) -> None:
         for name, lo in (("s_msg", self.s_msg), ("i_msg", self.i_msg),
@@ -143,25 +133,21 @@ class MessageState:
 
 
 def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds) -> MessageState:
-    """Seeded start state: out-messages and marginals of seeds are infected."""
+    """Seeded start state: out-messages and marginals of seeds are infected.
+
+    Seeds are checked by :func:`sir.initial_state`, as in the SIR process.
+    """
     links = build_link_index(view)
-    n, num_links = links.num_nodes, links.num_links
-    i_msg = np.zeros(num_links)
-    node_i = np.zeros(n)
-    for s in seeds:
-        s = int(s)
-        if not 0 <= s < n:
-            raise ValueError(f"seed {s} out of range")
-        i_msg[links.out_links(s)] = 1.0
-        node_i[s] = 1.0
+    node_i = (initial_state(links.num_nodes, seeds).status == I).astype(np.float64)
+    i_msg = node_i[links.src]
     return MessageState(
         links=links,
         s_msg=1.0 - i_msg,
         i_msg=i_msg,
-        r_msg=np.zeros(num_links),
+        r_msg=np.zeros(links.num_links),
         node_s=1.0 - node_i,
         node_i=node_i,
-        node_r=np.zeros(n),
+        node_r=np.zeros(links.num_nodes),
         plumb=_build_plumb(links, simplices),
     )
 
@@ -241,7 +227,6 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
         node_s=node_s,
         node_i=node_i,
         node_r=node_r,
-        step=msgs.step + 1,
     )
 
 
@@ -291,11 +276,6 @@ def mp_solve(
     state.residual = max(r_s, r_i)
     state.trace = trace
     return state
-
-
-def node_marginals(msgs: MessageState) -> np.ndarray:
-    """Stacked (N, 3) array of per-node (S, I, R) probabilities."""
-    return np.stack([msgs.node_s, msgs.node_i, msgs.node_r], axis=1)
 
 
 @dataclass
@@ -371,7 +351,7 @@ class SpectralResult:
     lambda_c: float
     eigvec: np.ndarray
     iterations: int
-    residual: float
+    residual: float  # L1 residual |B v - lambda_c v| at the returned eigvec
     converged: bool
 
     def to_dict(self) -> dict:
@@ -382,6 +362,11 @@ class SpectralResult:
             "converged": self.converged,
             "num_links": int(len(self.eigvec)),
         }
+
+
+def _residual(op: WnbOperator, v: np.ndarray, lam: float) -> float:
+    """L1 residual |B v - lam v| of an eigenpair estimate."""
+    return float(np.abs(op.matvec(v) - lam * v).sum())
 
 
 def leading_eigen(
@@ -412,8 +397,7 @@ def leading_eigen(
         deg = np.diff(links.out_ptr)  # in-degree equals out-degree
         v = (deg[links.dst] == 1).astype(np.float64)
         v /= v.sum()
-        resid = float(np.abs(op.matvec(v)).sum())
-        return SpectralResult(0.0, v, 0, resid, True)
+        return SpectralResult(0.0, v, 0, _residual(op, v, 0.0), True)
 
     v = np.full(num_links, 1.0 / num_links)
     # Entries are nonnegative, so a zero row-sum maximum means a zero
@@ -423,22 +407,17 @@ def leading_eigen(
         return SpectralResult(0.0, v, 0, 0.0, True)
     lam_prev = math.inf
     lam = 0.0
-    resid = math.inf
     for it in range(1, max_iters + 1):
         w = op.matvec(v) + shift * v
         nrm = float(w.sum())
         v = w / nrm
         lam = nrm - shift
         if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
-            r = op.matvec(v)
-            resid = float(np.abs(r - lam * v).sum())
+            resid = _residual(op, v, lam)
             if resid <= tol * max(1.0, abs(lam)):
                 return SpectralResult(lam, v, it, resid, True)
         lam_prev = lam
-    if not math.isfinite(resid):
-        r = op.matvec(v)
-        resid = float(np.abs(r - lam * v).sum())
-    return SpectralResult(lam, v, max_iters, resid, False)
+    return SpectralResult(lam, v, max_iters, _residual(op, v, lam), False)
 
 
 def critical_beta1(view: AdjacencyView, gamma: float = 1) -> float:

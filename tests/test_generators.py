@@ -115,9 +115,8 @@ def test_er_mean_edge_size():
     """Np = 8 target; kept-edge mean size within 3 sigma."""
     h = hs.gen_er_bipartite(
         hs.GenSpec("erdos_renyi", 4000, 2000, membership_p=8 / 4000, rng_seed=2))
-    v = hs.build_adjacency(h)
     sigma3 = 3.0 * np.sqrt(8.0 / 2000)
-    assert abs(v.edge_sizes.mean() - 8.0) <= sigma3
+    assert abs(np.diff(h.edge_ptr).mean() - 8.0) <= sigma3
 
 
 def test_er_p_zero_and_one():

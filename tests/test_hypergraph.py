@@ -81,7 +81,7 @@ def test_array_core_matches_per_edge_oracle():
         want = oracles.normalize_hyperedges(n, edges)
         assert h.hyperedges == want
         assert np.array_equal(h.incidence().toarray(), oracles.dense_incidence(n, want))
-        assert np.array_equal(hs.build_adjacency(h).edge_sizes, [len(e) for e in want])
+        assert np.array_equal(np.diff(h.edge_ptr), [len(e) for e in want])
         assert h.edge_ptr.dtype == h.members.dtype == np.int64
         g, remap = hs.giant_component(h)
         kept, gcc_edges, want_remap = oracles.giant_component_by_remap(n, want)
@@ -114,7 +114,7 @@ def test_single_triangle_edge_adjacency():
     assert np.array_equal(a, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
     assert np.array_equal(v.node_degree, [2, 2, 2])
     assert np.array_equal(v.hyperdegree, [1, 1, 1])
-    assert np.array_equal(v.edge_sizes, [3])
+    assert np.array_equal(np.diff(h.edge_ptr), [3])
 
 
 def test_two_overlapping_edges_adjacency():
@@ -161,7 +161,7 @@ def test_incidence_double_count():
     for _ in range(10):
         h = random_hypergraph(rng, 12, 8, 6)
         v = hs.build_adjacency(h)
-        assert v.hyperdegree.sum() == v.edge_sizes.sum()
+        assert v.hyperdegree.sum() == np.diff(h.edge_ptr).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_link_index_bijection_and_reverse():
         ids = set()
         for e in range(li.num_links):
             i, j = int(li.src[e]), int(li.dst[e])
-            assert li.link_id(i, j) == e
+            assert li.link_ids(i, j) == e
             r = int(li.reverse[e])
             assert (int(li.src[r]), int(li.dst[r])) == (j, i)
             assert int(li.reverse[r]) == e
@@ -307,12 +307,12 @@ def test_link_index_bijection_and_reverse():
             ids.add(e)
         assert ids == set(range(li.num_links))
         for i in range(h.num_nodes):
-            outs = li.out_links(i)
+            outs = slice(li.out_ptr[i], li.out_ptr[i + 1])
             assert (li.src[outs] == i).all()
             into = [e for e in range(li.num_links) if li.dst[e] == i]
             into.sort(key=lambda e: li.src[e])
-            assert li.in_links(i).tolist() == into
-        assert sum(len(li.out_links(i)) for i in range(h.num_nodes)) == li.num_links
+            assert li.reverse[outs].tolist() == into
+        assert np.diff(li.out_ptr).sum() == li.num_links
         weights.extend(li.weight.tolist())
     assert max(weights) > 1
 
@@ -322,7 +322,7 @@ def test_link_id_of_absent_pair_raises():
     # (0, 4) is out of range; its key 0 * 4 + 4 equals that of link (1, 0)
     for i, j in ((0, 0), (0, 3), (3, 0), (0, 4), (-1, 2)):
         with pytest.raises(KeyError):
-            li.link_id(i, j)
+            li.link_ids(i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,8 @@ def test_top_overlap_validates_percent():
         hs.top_overlap_probability(v, ci, 0)
     with pytest.raises(ValueError):
         hs.top_overlap_probability(v, ci, 101)
+    with pytest.raises(ValueError):
+        hs.top_overlap_curve(v, ci, [5.0, 101])
 
 
 def test_removing_top_scorer_deflates_threshold_more():
@@ -267,9 +269,9 @@ def assert_selection_matches_oracles(v, scores, ks):
             assert (hs.baseline_select(v, k, method).nodes
                     == reference_adaptive_select(v, k, method)), (method, k)
         assert hs.cia_select(v, scores, k).nodes == reference_cia_select(v, scores.scores, k)
-    for pct in (0.5, 5.0, 12.5, 33.0, 50.0, 99.0, 100.0):
-        assert (hs.top_overlap_probability(v, scores, pct)
-                == reference_top_overlap(v, scores.scores, pct)), pct
+    pcts = (0.5, 5.0, 12.5, 33.0, 50.0, 99.0, 100.0)
+    assert (hs.top_overlap_curve(v, scores, pcts)
+            == [reference_top_overlap(v, scores.scores, pct) for pct in pcts])
 
 
 @pytest.mark.parametrize("seed", range(4))
