@@ -21,7 +21,7 @@ order = hs.ranked_nodes(view, scores)
 
 print("rank  node  score      weighted degree")
 for r, node in enumerate(order[:10]):
-    print(f"{r:4d}  {node:4d}  {scores.scores[node]:9.1f}  "
+    print(f"{r:4d}  {node:4d}  {scores[node]:9.1f}  "
           f"{view.weighted_degree[node]:d}")
 
 by_degree = np.argsort(-view.weighted_degree, kind="stable")

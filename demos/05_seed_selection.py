@@ -21,19 +21,18 @@ print(f"giant component {g.num_nodes} nodes, budget k={k}")
 
 par = hs.EpidemicParams(beta1=0.25, beta2=0.2, gamma=1, rng_seed=777)
 
-def outbreak(nodes):
-    return hs.run_sir(view, tris, list(nodes), par, runs=100).fraction_of_gcc
+def outbreak(seeds):
+    return hs.run_sir(view, tris, seeds, par, runs=100).fraction_of_gcc
 
 results = {}
 
 # adaptive selection: walk the influence ranking, skip neighbors of
 # already chosen seeds so the budget is not wasted on one hub cluster
 scores = hs.collective_influence(view, 1.0, 1.0)
-results["cia"] = outbreak(hs.cia_select(view, scores, k).nodes)
+results["cia"] = outbreak(hs.cia_select(view, scores, k))
 
 for method in hs.BASELINE_METHODS:
-    seeds = hs.baseline_select(view, k, method, rng_seed=12345)
-    results[method] = outbreak(seeds.nodes)
+    results[method] = outbreak(hs.baseline_select(view, k, method, rng_seed=12345))
 
 print("\nmethod       mean outbreak fraction")
 for method, frac in sorted(results.items(), key=lambda kv: -kv[1]):

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Run a fixed set of ``hypersir`` commands and print a digest of their outputs.
+
+Usage (from the root of the tree to digest):
+
+    PYTHONPATH=src python3 scripts/output_digest.py OUTDIR
+
+Every command goes through ``hypersir.cli.main`` with its outputs under
+OUTDIR: ``generate`` (a scale-free instance, N=2000, seed 3),
+``experiment`` on the benchmark's sweep config at seeds 1 and 2027 with
+all seven selection methods, ``spectrum --dump-operator``, ``fig3`` with
+and without ``--beta1 0``, and ``stats``, the last three on the
+generated instance.  The script then prints ``md5  relpath`` for every
+output file except ``provenance.json`` (it records paths), sorted by
+path.  Two trees produce the same outputs when their digests are equal:
+
+    diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
+         <(cd new && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/b)
+"""
+
+import argparse
+import contextlib
+import hashlib
+import sys
+from pathlib import Path
+
+from hypersir.cli import KNOWN_METHODS, main
+
+INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges", "4000",
+            "--exponent", "2.0", "--size-range", "2", "4", "--degree-range", "2", "60",
+            "--gen-seed", "3"]
+
+
+def sweep_args(seed: int) -> list[str]:
+    """The benchmark's sweep experiment (N=5000) at ``seed``, with every method."""
+    return ["experiment", "--family", "scale_free", "--num-nodes", "5000",
+            "--num-hyperedges", "10000", "--exponent", "2.0", "--size-range", "2", "4",
+            "--degree-range", "2", "60", "--gen-seed", str(seed),
+            "--lambda1", "0.8", "1.2", "1.6", "--lambda2", "0", "2", "--k-percent", "3",
+            "--runs", "20", "--rng-seed", str(seed), "--methods", *KNOWN_METHODS]
+
+
+def run_commands(outdir: Path) -> None:
+    data = str(outdir / "generate" / "instance.txt")
+    commands = {
+        "generate": ["generate", *INSTANCE, "--name", "instance"],
+        "experiment-s1": sweep_args(1),
+        "experiment-s2027": sweep_args(2027),
+        "spectrum": ["spectrum", "--dataset", data, "--dump-operator"],
+        "fig3": ["fig3", "--dataset", data],
+        "fig3-beta1-0": ["fig3", "--dataset", data, "--beta1", "0"],
+        "stats": ["stats", "--dataset", data],
+    }
+    for sub, argv in commands.items():
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main([*argv, "--output-dir", str(outdir / sub)])
+        if code != 0:
+            raise SystemExit(f"{sub}: hypersir {argv[0]} exited {code}")
+
+
+def digest(outdir: Path) -> list[str]:
+    return [f"{hashlib.md5(p.read_bytes()).hexdigest()}  {p.relative_to(outdir).as_posix()}"
+            for p in sorted(outdir.rglob("*"))
+            if p.is_file() and p.name != "provenance.json"]
+
+
+def cli() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path, help="directory for the command outputs")
+    outdir = parser.parse_args().outdir.resolve()
+    run_commands(outdir)
+    print("\n".join(digest(outdir)))
+
+
+if __name__ == "__main__":
+    cli()

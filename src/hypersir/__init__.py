@@ -36,8 +36,6 @@ from .generators import (
 )
 from .influence import (
     BASELINE_METHODS,
-    CiScores,
-    SeedSet,
     baseline_select,
     cia_select,
     collective_influence,
@@ -100,8 +98,6 @@ __all__ = [
     "save_hyperedge_list",
     "write_stats_table",
     "BASELINE_METHODS",
-    "CiScores",
-    "SeedSet",
     "baseline_select",
     "cia_select",
     "collective_influence",

@@ -44,7 +44,6 @@ from .hypergraph import (
 )
 from .influence import (
     BASELINE_METHODS,
-    SeedSet,
     baseline_select,
     cia_select,
     collective_influence,
@@ -247,7 +246,7 @@ def _write_provenance(outdir: Path, command: str, cfg: ExperimentConfig,
     write_json(outdir / "provenance.json", doc)
 
 
-def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> SeedSet:
+def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> tuple[int, ...]:
     """Pick k seeds; the adaptive method scores at unit rates since its
     ranking does not depend on them."""
     if method == "cia":
@@ -320,7 +319,7 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
             if key not in seed_sets:
                 seed_sets[key] = select_seeds(inp.view, method, k, sel_seed)
             stats = run_sir(
-                inp.view, inp.simplices, list(seed_sets[key].nodes),
+                inp.view, inp.simplices, seed_sets[key],
                 EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed),
                 runs=cfg.runs,
             )
@@ -423,17 +422,10 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _single_beta1(cfg: ExperimentConfig) -> float:
-    """The one pairwise rate of ``spectrum`` and ``fig3``; 1.0 if none is given."""
-    if cfg.beta1 is None:
-        return 1.0
-    if len(cfg.beta1) > 1:
-        raise ValueError(f"this command takes one beta1 value, got {cfg.beta1}")
-    return float(cfg.beta1[0])
-
-
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    b1 = _single_beta1(cfg)
+    if cfg.beta1 is not None and len(cfg.beta1) > 1:
+        raise ValueError(f"spectrum takes one beta1 value, got {cfg.beta1}")
+    b1 = 1.0 if cfg.beta1 is None else float(cfg.beta1[0])
     inp = prepare_input(cfg)
     op = build_wnb(inp.view, b1, cfg.gamma)
     res = leading_eigen(op)
@@ -453,10 +445,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_fig3(cfg: ExperimentConfig) -> int:
-    b1 = _single_beta1(cfg)
+    """Top-overlap curve of the CI ranking, scored at unit rates since the
+    ranking does not depend on them."""
     inp = prepare_input(cfg)
-    scores = collective_influence(inp.view, b1, cfg.gamma)
-    curve = top_overlap_curve(inp.view, scores, cfg.n_grid)
+    curve = top_overlap_curve(inp.view, collective_influence(inp.view, 1.0, 1.0), cfg.n_grid)
     rows = [{"n_percent": float(nn), "overlap_probability": p}
             for nn, p in zip(cfg.n_grid, curve)]
     outdir = _outdir(cfg)

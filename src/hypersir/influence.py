@@ -7,21 +7,18 @@ j's neighborhood, times j's remaining binary degree.  It approximates
 how much the node inflates the leading eigenvalue of the link operator,
 so removing high scorers deflates the epidemic threshold fastest.
 Selection strategies consume the scores (or plain degree variants) and
-spread seeds apart to avoid overlapping infection zones.
+spread seeds apart to avoid overlapping infection zones.  Scores are a
+float64 array indexed by node id; a seed set is a tuple of distinct node
+ids in pick order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .data_io import write_csv
 from .hypergraph import AdjacencyView
 
 __all__ = [
-    "CiScores",
-    "SeedSet",
     "collective_influence",
     "ranked_nodes",
     "cia_select",
@@ -34,54 +31,8 @@ __all__ = [
 BASELINE_METHODS = ("degree", "hyperdegree", "ci_naive", "hadp", "hsdp", "random")
 
 
-@dataclass
-class CiScores:
-    """Per-node collective-influence scores with the scale they were built at."""
-
-    scores: np.ndarray
-    beta1: float
-    gamma: float
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.ndim != 1:
-            raise ValueError("scores must be one-dimensional")
-        if self.scores.size and self.scores.min() < 0:
-            raise ValueError("scores must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def write_csv(self, path) -> None:
-        write_csv(path, "ci_scores", ("node_id", "score"),
-                  ({"node_id": i, "score": s} for i, s in enumerate(self.scores.tolist())))
-
-
-@dataclass
-class SeedSet:
-    """Ordered seed selection with the strategy that produced it."""
-
-    nodes: tuple[int, ...]
-    method: str
-
-    def __post_init__(self):
-        self.nodes = tuple(int(v) for v in self.nodes)
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("seed set contains duplicates")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def write_csv(self, path) -> None:
-        write_csv(path, "seed_set", ("rank", "node_id"),
-                  ({"rank": r, "node_id": v} for r, v in enumerate(self.nodes)))
-
-
-def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> CiScores:
-    """Neighborhood influence score per node.
+def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> np.ndarray:
+    """Neighborhood influence score per node, as a float64 array.
 
     score(i) = (beta1*gamma)^2 * sum over neighbors j of
     A_ij * (sum over k in N(j) of A_ik) * (d_N(j) - 1).
@@ -100,21 +51,16 @@ def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> CiS
     per_pair = weighted.multiply(z)
     base = per_pair @ (view.node_degree - 1)
     scale = (beta1 * gamma) ** 2
-    return CiScores(scores=scale * base.astype(np.float64), beta1=beta1, gamma=gamma)
+    return scale * base.astype(np.float64)
 
 
-def _order(view: AdjacencyView, primary: np.ndarray) -> np.ndarray:
-    """Total selection order: primary desc, weighted degree desc, id asc
-    (lexsort is stable, so full ties keep id order)."""
-    return np.lexsort((-view.weighted_degree, -np.asarray(primary)))
-
-
-def ranked_nodes(view: AdjacencyView, scores: CiScores | np.ndarray) -> np.ndarray:
-    """Node ids sorted by score under the documented tie-breaking order."""
-    arr = scores.scores if isinstance(scores, CiScores) else np.asarray(scores)
-    if len(arr) != view.num_nodes:
+def ranked_nodes(view: AdjacencyView, scores: np.ndarray) -> np.ndarray:
+    """Node ids in the total selection order: score desc, weighted degree
+    desc, id asc (lexsort is stable, so full ties keep id order)."""
+    scores = np.asarray(scores)
+    if len(scores) != view.num_nodes:
         raise ValueError("score vector length does not match the view")
-    return _order(view, arr)
+    return np.lexsort((-view.weighted_degree, -scores))
 
 
 def _check_k(view: AdjacencyView, k: int) -> None:
@@ -124,7 +70,7 @@ def _check_k(view: AdjacencyView, k: int) -> None:
         raise ValueError(f"k={k} exceeds the {view.num_nodes} available nodes")
 
 
-def cia_select(view: AdjacencyView, scores: CiScores, k: int) -> SeedSet:
+def cia_select(view: AdjacencyView, scores: np.ndarray, k: int) -> tuple[int, ...]:
     """Adaptive top-score selection that skips neighbors of chosen seeds.
 
     Walks the ranked candidate list once: the current best is taken
@@ -144,7 +90,7 @@ def cia_select(view: AdjacencyView, scores: CiScores, k: int) -> SeedSet:
             continue
         chosen.append(v)
         blocked[binary.indices[binary.indptr[v]: binary.indptr[v + 1]]] = True
-    return SeedSet(nodes=tuple((chosen + skipped)[:k]), method="cia")
+    return tuple((chosen + skipped)[:k])
 
 
 def _adaptive_select(view: AdjacencyView, k: int, method: str) -> list[int]:
@@ -158,7 +104,7 @@ def _adaptive_select(view: AdjacencyView, k: int, method: str) -> list[int]:
     """
     n = view.num_nodes
     indptr, indices = view.binary.indptr, view.binary.indices
-    tie = n - 1 - np.argsort(_order(view, np.zeros(n)))
+    tie = n - 1 - np.argsort(ranked_nodes(view, np.zeros(n)))
     key = view.node_degree * n + tie
     in_nbhd = np.zeros(n, dtype=np.int64)
     chosen: list[int] = []
@@ -178,7 +124,8 @@ def _adaptive_select(view: AdjacencyView, k: int, method: str) -> list[int]:
     return chosen
 
 
-def baseline_select(view: AdjacencyView, k: int, method: str, rng_seed: int = 0) -> SeedSet:
+def baseline_select(view: AdjacencyView, k: int, method: str,
+                    rng_seed: int = 0) -> tuple[int, ...]:
     """Reference selection strategies.
 
     degree / hyperdegree: static top-k by binary degree / hyperedge
@@ -192,24 +139,23 @@ def baseline_select(view: AdjacencyView, k: int, method: str, rng_seed: int = 0)
         raise ValueError(f"unknown selection method: {method!r}")
     _check_k(view, k)
     if method == "degree":
-        nodes = _order(view, view.node_degree)[:k]
+        nodes = ranked_nodes(view, view.node_degree)[:k]
     elif method == "hyperdegree":
-        nodes = _order(view, view.hyperdegree)[:k]
+        nodes = ranked_nodes(view, view.hyperdegree)[:k]
     elif method == "ci_naive":
         excess = view.hyperdegree - 1
         score = excess * (view.binary @ excess)
-        nodes = _order(view, score)[:k]
+        nodes = ranked_nodes(view, score)[:k]
     elif method in ("hadp", "hsdp"):
         nodes = _adaptive_select(view, k, method)
     else:
         rng = np.random.default_rng(rng_seed)
         nodes = rng.choice(view.num_nodes, size=k, replace=False)
-    return SeedSet(nodes=tuple(int(v) for v in nodes), method=method)
+    return tuple(int(v) for v in nodes)
 
 
-def top_overlap_probability(
-    view: AdjacencyView, scores: CiScores | np.ndarray, n_percent: float
-) -> float:
+def top_overlap_probability(view: AdjacencyView, scores: np.ndarray,
+                            n_percent: float) -> float:
     """Chance that a random neighbor of a random top-n% node is also top-n%.
 
     The top set is the first max(1, round(n% of N)) nodes of the ranked
@@ -218,9 +164,7 @@ def top_overlap_probability(
     return top_overlap_curve(view, scores, [n_percent])[0]
 
 
-def top_overlap_curve(
-    view: AdjacencyView, scores: CiScores | np.ndarray, n_grid
-) -> list[float]:
+def top_overlap_curve(view: AdjacencyView, scores: np.ndarray, n_grid) -> list[float]:
     """:func:`top_overlap_probability` at each n% of ``n_grid``, ranking once."""
     if not all(0 < n_percent <= 100 for n_percent in n_grid):
         raise ValueError("n_percent must lie in (0, 100]")

@@ -27,6 +27,9 @@ from .hypergraph import AdjacencyView, TwoSimplexSet
 
 S, I, R = 0, 1, 2
 
+# a run whose final size is under this fraction of the component is absorbing
+ABSORBING_CUT = 0.05
+
 
 @dataclass
 class EpidemicParams:
@@ -178,8 +181,7 @@ def step(state: EpidemicState, view: AdjacencyView,
 
 
 def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
-            params: EpidemicParams, runs: int = 100,
-            gcc_size: int | None = None) -> OutbreakStats:
+            params: EpidemicParams, runs: int = 100) -> OutbreakStats:
     """Independent Monte-Carlo runs from a fixed seed set.
 
     All runs advance together as the rows of one (runs, N) state, drawing
@@ -208,10 +210,8 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
         u[:live.size] = rng.random(out=u)[live]  # the live runs' uniforms, in place
         _advance(status, age, u[:live.size], channels, simplices, params.gamma)
     final[live] = status
-    return OutbreakStats(runs=runs,
-                         sigma_samples=np.count_nonzero(final == R, axis=1),
-                         absorbed=~(final == I).any(axis=1),
-                         gcc_size=gcc_size if gcc_size is not None else n)
+    return OutbreakStats(runs=runs, sigma_samples=np.count_nonzero(final == R, axis=1),
+                         absorbed=~(final == I).any(axis=1), gcc_size=n)
 
 
 def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
@@ -240,15 +240,14 @@ def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
     return beta1, beta2
 
 
-def classify_bistable(stats: OutbreakStats,
-                      threshold_fraction: float = 0.05) -> tuple[float, float]:
+def classify_bistable(stats: OutbreakStats) -> tuple[float, float]:
     """Fraction of runs ending below vs at-or-above the outbreak threshold.
 
-    A run is absorbing when its final size is under threshold_fraction of
-    the component size; the two returned fractions sum to 1.
+    A run is absorbing when its final size is under ABSORBING_CUT of the
+    component size; the two returned fractions sum to 1.
     """
     if stats.runs < 1:
         raise ValueError("need at least one run")
-    cut = threshold_fraction * stats.gcc_size
+    cut = ABSORBING_CUT * stats.gcc_size
     absorbing = int(np.count_nonzero(stats.sigma_samples < cut))
     return absorbing / stats.runs, (stats.runs - absorbing) / stats.runs

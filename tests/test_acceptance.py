@@ -203,7 +203,7 @@ def test_criterion_04_influence_scores_equal_brute_force():
         v, _ = _views(n, edges)
         b1 = float(rng.uniform(0.05, 1.0))
         g = int(rng.integers(1, 5))
-        fast = hs.collective_influence(v, b1, g).scores
+        fast = hs.collective_influence(v, b1, g)
         brute = brute_collective_influence(n, edges, b1, g)
         assert np.array_equal(fast, brute)
     _line(4, True, "100 instances bitwise equal")
@@ -273,7 +273,7 @@ def test_criterion_06_adaptive_seeding_dominates():
             seeds = select_seeds(v, method, k, rng_seed=12345)
             par = hs.EpidemicParams(beta1=0.25, beta2=0.2, gamma=1,
                                     rng_seed=777)
-            out[method] = hs.run_sir(v, ts, list(seeds.nodes), par,
+            out[method] = hs.run_sir(v, ts, list(seeds), par,
                                      runs=100).fraction_of_gcc
         per_seed.append(out)
     avg = {m: float(np.mean([p[m] for p in per_seed])) for m in C6_METHODS}

@@ -253,15 +253,14 @@ def test_every_flag_reaches_the_config(tmp_path, monkeypatch, rates, want):
         bench_repeats=5, n_grid=[2.5, 50.0], dump_operator=True, **want)]
 
 
-def test_spectrum_and_fig3_take_one_beta1(tmp_path, capsys):
+def test_spectrum_takes_one_beta1(tmp_path, capsys):
     tri = str(triangle_file(tmp_path))
-    for cmd in ("spectrum", "fig3"):
-        out = tmp_path / cmd
-        assert main([cmd, "--dataset", tri, "--beta1", "0.2", "0.4",
-                     "--output-dir", str(out)]) == 2
-        assert "beta1" in capsys.readouterr().err
-        assert not (out / f"{cmd}.json").exists() and not (out / f"{cmd}.csv").exists()
-        assert main([cmd, "--dataset", tri, "--beta1", "0.4", "--output-dir", str(out)]) == 0
+    out = tmp_path / "spectrum"
+    assert main(["spectrum", "--dataset", tri, "--beta1", "0.2", "0.4",
+                 "--output-dir", str(out)]) == 2
+    assert "beta1" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+    assert main(["spectrum", "--dataset", tri, "--beta1", "0.4", "--output-dir", str(out)]) == 0
 
 
 def test_cli_error_exit_codes(tmp_path):
@@ -364,6 +363,17 @@ def test_fig3_sweep(tmp_path):
     main(["fig3", "--dataset", str(data), "--n-grid", "5", "100",
           "--output-dir", str(out2)])
     assert (out / "fig3.csv").read_bytes() == (out2 / "fig3.csv").read_bytes()
+
+
+def test_fig3_is_rate_free(tmp_path):
+    # the CI ranking is scored at unit rates, so --beta1 0 no longer zeroes it
+    data = str(sf_file(tmp_path))
+    curves = []
+    for i, rates in enumerate(([], ["--beta1", "0"], ["--beta1", "0.3", "--gamma", "3"])):
+        out = tmp_path / f"f{i}"
+        assert main(["fig3", "--dataset", data, *rates, "--output-dir", str(out)]) == 0
+        curves.append((out / "fig3.csv").read_bytes())
+    assert curves[1] == curves[0] and curves[2] == curves[0]
 
 
 def test_stats_command_reports_both_conventions(tmp_path):
@@ -476,7 +486,7 @@ def test_experiment_selects_deterministic_seed_sets_once(tmp_path, monkeypatch):
     for idx, (_, _, k) in enumerate(cells):
         sel_seed = int(np.random.SeedSequence([5, idx]).generate_state(2)[1])
         expected_random[k, sel_seed] += 1
-        expected_seeds += [cli.select_seeds(inp.view, m, k, sel_seed).nodes
+        expected_seeds += [cli.select_seeds(inp.view, m, k, sel_seed)
                            for m in ("cia", "hadp", "random")]
     assert random_per_cell == expected_random
     assert run_seeds == expected_seeds

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hypersir as hs
+from hypersir.cli import KNOWN_METHODS, select_seeds
 from oracles import (brute_collective_influence, reference_adaptive_select,
                      reference_cia_select, reference_top_overlap)
 
@@ -27,20 +28,20 @@ def random_view(rng, n, m, s_hi=4):
 def test_star_scores_are_zero():
     v = view_of(4, [[0, 1], [0, 2], [0, 3]])
     ci = hs.collective_influence(v, 0.5, 1)
-    assert np.array_equal(ci.scores, np.zeros(4))
+    assert np.array_equal(ci, np.zeros(4))
 
 
 def test_single_triple_hand_value():
     v = view_of(3, [[0, 1, 2]])
     ci = hs.collective_influence(v, 0.5, 1.0)
-    assert np.allclose(ci.scores, 0.5)
+    assert np.allclose(ci, 0.5)
 
 
 def test_triangle_free_expansions_score_zero():
     path = view_of(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-    assert np.array_equal(hs.collective_influence(path, 0.9, 2).scores, np.zeros(5))
+    assert np.array_equal(hs.collective_influence(path, 0.9, 2), np.zeros(5))
     cycle4 = view_of(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-    assert np.array_equal(hs.collective_influence(cycle4, 0.9, 2).scores, np.zeros(4))
+    assert np.array_equal(hs.collective_influence(cycle4, 0.9, 2), np.zeros(4))
 
 
 def test_matches_brute_force_exactly():
@@ -53,7 +54,7 @@ def test_matches_brute_force_exactly():
         gam = int(rng.integers(1, 4))
         ci = hs.collective_influence(v, b1, gam)
         brute = brute_collective_influence(n, g.hyperedges, b1, gam)
-        assert np.array_equal(ci.scores, brute)
+        assert np.array_equal(ci, brute)
 
 
 def test_ranking_invariant_to_rates():
@@ -64,7 +65,7 @@ def test_ranking_invariant_to_rates():
     b = hs.collective_influence(v, 0.9, 3)
     assert np.array_equal(hs.ranked_nodes(v, a), hs.ranked_nodes(v, b))
     ratio = (0.9 * 3 / 0.1) ** 2
-    assert np.allclose(b.scores, ratio * a.scores)
+    assert np.allclose(b, ratio * a)
 
 
 def test_cia_k1_is_argmax():
@@ -73,8 +74,7 @@ def test_cia_k1_is_argmax():
     v = hs.build_adjacency(g)
     ci = hs.collective_influence(v, 0.3, 1)
     pick = hs.cia_select(v, ci, 1)
-    assert pick.nodes == (int(hs.ranked_nodes(v, ci)[0]),)
-    assert pick.method == "cia"
+    assert pick == (int(hs.ranked_nodes(v, ci)[0]),)
 
 
 def test_cia_spreads_across_components():
@@ -83,17 +83,17 @@ def test_cia_spreads_across_components():
     v = view_of(6, [[0, 1, 2], [0, 1, 2], [3, 4, 5]])
     ci = hs.collective_influence(v, 0.5, 1)
     seeds = hs.cia_select(v, ci, 2)
-    assert seeds.nodes[0] in (0, 1, 2)
-    assert seeds.nodes[1] in (3, 4, 5)
+    assert seeds[0] in (0, 1, 2)
+    assert seeds[1] in (3, 4, 5)
 
 
 def test_cia_fallback_on_zero_score_path():
     v = view_of(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
     ci = hs.collective_influence(v, 0.5, 1)
-    assert np.all(ci.scores == 0)
+    assert np.all(ci == 0)
     # tie order: middle nodes by weighted degree, then ids
-    assert hs.cia_select(v, ci, 2).nodes == (1, 3)
-    assert hs.cia_select(v, ci, 4).nodes == (1, 3, 2, 0)
+    assert hs.cia_select(v, ci, 2) == (1, 3)
+    assert hs.cia_select(v, ci, 4) == (1, 3, 2, 0)
 
 
 def test_cia_seeds_nonadjacent_when_possible():
@@ -102,7 +102,7 @@ def test_cia_seeds_nonadjacent_when_possible():
         g = random_view(rng, 30, 25)
         v = hs.build_adjacency(g)
         ci = hs.collective_influence(v, 0.25, 1)
-        seeds = hs.cia_select(v, ci, 3).nodes
+        seeds = hs.cia_select(v, ci, 3)
         dense = v.binary.toarray()
         for a in seeds:
             for b in seeds:
@@ -117,14 +117,14 @@ def test_cia_argument_validation():
         hs.cia_select(v, ci, 4)
     with pytest.raises(ValueError):
         hs.cia_select(v, ci, -1)
-    assert hs.cia_select(v, ci, 0).nodes == ()
+    assert hs.cia_select(v, ci, 0) == ()
 
 
 def test_degree_and_hyperdegree_baselines():
     star = view_of(4, [[0, 1], [0, 2], [0, 3]])
-    assert hs.baseline_select(star, 1, "degree").nodes == (0,)
-    assert hs.baseline_select(star, 1, "hyperdegree").nodes == (0,)
-    assert hs.baseline_select(star, 2, "degree").nodes == (0, 1)
+    assert hs.baseline_select(star, 1, "degree") == (0,)
+    assert hs.baseline_select(star, 1, "hyperdegree") == (0,)
+    assert hs.baseline_select(star, 2, "degree") == (0, 1)
 
 
 def test_ci_naive_scoring():
@@ -133,14 +133,14 @@ def test_ci_naive_scoring():
     excess = v.hyperdegree - 1
     expect = excess * (v.binary @ excess)
     assert np.array_equal(expect, np.array([4, 3, 3, 0]))
-    assert hs.baseline_select(v, 2, "ci_naive").nodes == (0, 1)
+    assert hs.baseline_select(v, 2, "ci_naive") == (0, 1)
 
 
 def test_hsdp_shifts_second_pick_away():
     v = view_of(10, HUB_FORK)
-    assert hs.baseline_select(v, 2, "degree").nodes == (0, 1)
+    assert hs.baseline_select(v, 2, "degree") == (0, 1)
     # -1 on the hub's neighborhood drops node 1 below the far fork
-    assert hs.baseline_select(v, 2, "hsdp").nodes == (0, 6)
+    assert hs.baseline_select(v, 2, "hsdp") == (0, 6)
 
 
 def test_hadp_penalty_separates_forks():
@@ -149,8 +149,8 @@ def test_hadp_penalty_separates_forks():
     # node 1 shares 3 neighbors with seed 0, so the |shared|+1 penalty wipes
     # its degree and the far hub wins the second pick; by the third pick
     # every candidate sits at zero and weighted degree breaks the tie
-    assert seeds.nodes == (0, 6, 1)
-    assert hs.baseline_select(v, 2, "degree").nodes == (0, 1)
+    assert seeds == (0, 6, 1)
+    assert hs.baseline_select(v, 2, "degree") == (0, 1)
 
 
 def test_random_baseline_reproducible():
@@ -160,9 +160,9 @@ def test_random_baseline_reproducible():
     a = hs.baseline_select(v, 5, "random", rng_seed=11)
     b = hs.baseline_select(v, 5, "random", rng_seed=11)
     c = hs.baseline_select(v, 5, "random", rng_seed=12)
-    assert a.nodes == b.nodes
-    assert len(set(a.nodes)) == 5
-    assert a.nodes != c.nodes
+    assert a == b
+    assert len(set(a)) == 5
+    assert a != c
 
 
 def test_unknown_method_rejected():
@@ -177,9 +177,8 @@ def test_selection_is_deterministic():
     v = hs.build_adjacency(g)
     ci = hs.collective_influence(v, 0.2, 2)
     for method in ("degree", "hyperdegree", "ci_naive", "hadp", "hsdp"):
-        assert (hs.baseline_select(v, 6, method).nodes
-                == hs.baseline_select(v, 6, method).nodes)
-    assert hs.cia_select(v, ci, 6).nodes == hs.cia_select(v, ci, 6).nodes
+        assert hs.baseline_select(v, 6, method) == hs.baseline_select(v, 6, method)
+    assert hs.cia_select(v, ci, 6) == hs.cia_select(v, ci, 6)
 
 
 def test_top_overlap_everything_is_one():
@@ -234,23 +233,6 @@ def test_removing_top_scorer_deflates_threshold_more():
     assert np.mean(diffs) >= 0.0
 
 
-def test_seed_set_csv_and_validation(tmp_path):
-    v = view_of(4, [[0, 1], [0, 2], [0, 3]])
-    seeds = hs.baseline_select(v, 2, "degree")
-    p = tmp_path / "seeds.csv"
-    seeds.write_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[:3] == ["# schema=seed_set.v1", "rank,node_id", "0,0"]
-    with pytest.raises(ValueError):
-        hs.SeedSet(nodes=(1, 1), method="degree")
-    ci = hs.collective_influence(v, 0.5, 1)
-    cp = tmp_path / "scores.csv"
-    ci.write_csv(cp)
-    rows = cp.read_text().splitlines()
-    assert rows[:2] == ["# schema=ci_scores.v1", "node_id,score"]
-    assert rows[2:] == [f"{i},{s:.10g}" for i, s in enumerate(ci.scores)]
-
-
 def tie_heavy_view(rng, n):
     """Up to 2n hyperedges of 2-4 nodes, each doubled with probability 0.3, so
     many nodes tie on degree and weighted degree and some stay isolated."""
@@ -266,12 +248,16 @@ def tie_heavy_view(rng, n):
 def assert_selection_matches_oracles(v, scores, ks):
     for k in ks:
         for method in ("hadp", "hsdp"):
-            assert (hs.baseline_select(v, k, method).nodes
+            assert (hs.baseline_select(v, k, method)
                     == reference_adaptive_select(v, k, method)), (method, k)
-        assert hs.cia_select(v, scores, k).nodes == reference_cia_select(v, scores.scores, k)
+        assert hs.cia_select(v, scores, k) == reference_cia_select(v, scores, k)
+        for method in KNOWN_METHODS:
+            seeds = select_seeds(v, method, k, rng_seed=k)
+            assert type(seeds) is tuple and len(set(seeds)) == k, (method, k)
+            assert all(type(u) is int and 0 <= u < v.num_nodes for u in seeds), (method, k)
     pcts = (0.5, 5.0, 12.5, 33.0, 50.0, 99.0, 100.0)
     assert (hs.top_overlap_curve(v, scores, pcts)
-            == [reference_top_overlap(v, scores.scores, pct) for pct in pcts])
+            == [reference_top_overlap(v, scores, pct) for pct in pcts])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -281,7 +267,7 @@ def test_selection_equals_oracles_on_tie_heavy_graphs(seed):
         n = int(rng.integers(0, 2)) if case < 4 else int(rng.integers(2, 40))
         v = tie_heavy_view(rng, n) if n >= 2 else view_of(n, [])
         if case % 2:
-            scores = hs.CiScores(rng.integers(0, 3, n).astype(float), 1.0, 1.0)
+            scores = rng.integers(0, 3, n).astype(float)
         else:
             scores = hs.collective_influence(v, 1.0, 1.0)
         ks = range(n + 1) if case < 10 else sorted({0, int(rng.integers(0, n + 1)), n})
