@@ -12,7 +12,12 @@ all seven selection methods, ``spectrum --dump-operator``, ``fig3`` with
 and without ``--beta1 0``, and ``stats``, the last three on the
 generated instance.  The script then prints ``md5  relpath`` for every
 output file except ``provenance.json`` (it records paths), sorted by
-path.  Two trees produce the same outputs when their digests are equal:
+path, and two library lines no command writes: ``library/mp_solve``
+(the six state arrays, ``iterations`` and ``residual`` of a seeded
+solve) and ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
+300-run ensemble, about 540k cells, which ``run_sir`` splits into row
+blocks), both on the generated instance's giant component.  Two trees
+produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
          <(cd new && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/b)
@@ -24,6 +29,10 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from hypersir import (EpidemicParams, build_adjacency, enumerate_two_simplices, giant_component,
+                      load_hyperedge_list, mp_solve, run_sir)
 from hypersir.cli import KNOWN_METHODS, main
 
 INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges", "4000",
@@ -64,12 +73,34 @@ def digest(outdir: Path) -> list[str]:
             if p.is_file() and p.name != "provenance.json"]
 
 
+def md5_of(*parts) -> str:
+    md5 = hashlib.md5()
+    for part in parts:
+        md5.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray)
+                   else repr(part).encode())
+    return md5.hexdigest()
+
+
+def library_digest(outdir: Path) -> list[str]:
+    """Digests of an ``mp_solve`` state and a ``run_sir`` ensemble on the instance's GCC."""
+    gcc, _ = giant_component(load_hyperedge_list(outdir / "generate" / "instance.txt"))
+    view, simplices = build_adjacency(gcc), enumerate_two_simplices(gcc)
+    seeds = np.argsort(-view.node_degree, kind="stable")[:20].tolist()
+    st = mp_solve(view, simplices, EpidemicParams(0.05, 0.1), seeds)
+    sir = run_sir(view, simplices, seeds, EpidemicParams(0.05, 0.1, gamma=2, rng_seed=7),
+                  runs=300)
+    state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
+             st.residual)
+    return [f"{md5_of(*state)}  library/mp_solve",
+            f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir"]
+
+
 def cli() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path, help="directory for the command outputs")
     outdir = parser.parse_args().outdir.resolve()
     run_commands(outdir)
-    print("\n".join(digest(outdir)))
+    print("\n".join(digest(outdir) + library_digest(outdir)))
 
 
 if __name__ == "__main__":

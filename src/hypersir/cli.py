@@ -132,6 +132,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; known: {list(KNOWN_METHODS)}")
         if not self.methods:
             raise ValueError("methods list must be non-empty")
+        for key in ("methods", "sizes"):  # a repeat would duplicate rows or a fit point
+            vals = getattr(self, key)
+            if len(set(vals)) < len(vals):
+                raise ValueError(f"{key} must not repeat entries, got {vals!r}")
         if self.k_absolute is not None and self.k_percent is not None:
             raise ValueError("give k_absolute or k_percent, not both")
 
@@ -212,7 +216,7 @@ def prepare_input(cfg: ExperimentConfig) -> PreparedInput:
     work = giant_component(h)[0] if cfg.use_gcc else h
     view = build_adjacency(work)
     simplices = enumerate_two_simplices(work, size_cap=cfg.size_cap)
-    k1, k2 = simplex_densities(work, view=view, simplices=simplices)
+    k1, k2 = simplex_densities(view, simplices)
     return PreparedInput(work, view, simplices, k1, k2)
 
 

@@ -200,7 +200,7 @@ def dataset_stats(
                             0.0, 0.0, 0.0, 0.0, 0, dedup)
     view = build_adjacency(gcc)
     simplices = enumerate_two_simplices(gcc, size_cap=size_cap)
-    k1, k2 = simplex_densities(gcc, view=view, simplices=simplices)
+    k1, k2 = simplex_densities(view, simplices)
     return DatasetStats(
         n=work.num_nodes,
         m=work.num_hyperedges,

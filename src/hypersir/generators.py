@@ -17,6 +17,8 @@ import numpy as np
 
 from .hypergraph import Hypergraph
 
+__all__ = ["GenSpec", "generate", "gen_sf_chunglu", "gen_er_bipartite", "gen_d_uniform"]
+
 SCALE_FREE = "scale_free"
 ERDOS_RENYI = "erdos_renyi"
 D_UNIFORM = "d_uniform"

@@ -22,6 +22,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+__all__ = [
+    "DEFAULT_TRIPLE_EDGE_CAP",
+    "Hypergraph",
+    "AdjacencyView",
+    "build_adjacency",
+    "TwoSimplexSet",
+    "enumerate_two_simplices",
+    "LinkIndex",
+    "build_link_index",
+    "giant_component",
+    "simplex_densities",
+]
+
 DEFAULT_TRIPLE_EDGE_CAP = 25
 
 
@@ -320,23 +333,13 @@ def giant_component(h: Hypergraph) -> tuple[Hypergraph, np.ndarray]:
     return Hypergraph.from_arrays(n_keep, sizes[sizes > 0], remap[h.members[kept]], names), remap
 
 
-def simplex_densities(
-    h: Hypergraph,
-    view: AdjacencyView | None = None,
-    simplices: TwoSimplexSet | None = None,
-) -> tuple[float, float]:
+def simplex_densities(view: AdjacencyView, simplices: TwoSimplexSet) -> tuple[float, float]:
     """Mean weighted 1-simplex and 2-simplex counts per node.
 
     The 1-simplex density is the mean weighted degree (sum of shared-
     hyperedge counts over neighbors); the 2-simplex density is the mean
     total weight of triangles containing a node.
     """
-    if h.num_nodes == 0:
+    if view.num_nodes == 0:
         return 0.0, 0.0
-    if view is None:
-        view = build_adjacency(h)
-    if simplices is None:
-        simplices = enumerate_two_simplices(h)
-    k1 = float(view.weighted_degree.mean())
-    k2 = float(simplices.node_triple_weight.mean())
-    return k1, k2
+    return float(view.weighted_degree.mean()), float(simplices.node_triple_weight.mean())

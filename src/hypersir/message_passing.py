@@ -31,14 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .hypergraph import (
-    AdjacencyView,
-    Hypergraph,
-    LinkIndex,
-    TwoSimplexSet,
-    build_link_index,
-    enumerate_two_simplices,
-)
+from .hypergraph import AdjacencyView, LinkIndex, TwoSimplexSet, build_link_index
 from .sir import I, EpidemicParams, initial_state
 
 __all__ = [
@@ -73,9 +66,7 @@ class _CavityPlumb:
     center_weight: np.ndarray
 
 
-def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet | None) -> _CavityPlumb:
-    if simplices is None:
-        simplices = enumerate_two_simplices(Hypergraph(links.num_nodes))
+def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet) -> _CavityPlumb:
     try:
         tlink_a = links.link_ids(simplices.other_a, simplices.centers)
         tlink_b = links.link_ids(simplices.other_b, simplices.centers)
@@ -132,7 +123,7 @@ class MessageState:
             raise ValueError("node state sums deviate from 1")
 
 
-def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds) -> MessageState:
+def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet, seeds) -> MessageState:
     """Seeded start state: out-messages and marginals of seeds are infected.
 
     Seeds are checked by :func:`sir.initial_state`, as in the SIR process.
@@ -232,7 +223,7 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
 
 def mp_solve(
     view: AdjacencyView,
-    simplices: TwoSimplexSet | None,
+    simplices: TwoSimplexSet,
     params: EpidemicParams,
     seeds,
     tol: float = 1e-10,

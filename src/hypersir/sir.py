@@ -8,9 +8,10 @@ susceptible node i escapes infection in one step with probability
 
 and otherwise becomes infectious.  Infectious nodes recover exactly
 ``gamma`` steps after infection.  One kernel advances the (runs, N)
-state of a whole ensemble per step: a gather of the triangles' member
-pairs, two sparse products, escape-table lookups and one full-width
-uniform draw; ended runs leave the state.  ``step`` runs it on one row.
+state of a whole ensemble per step, in row blocks that bound its memory:
+a gather of the triangles' member pairs, two sparse products, escape-
+table lookups and the block's uniforms; ended runs leave the state.
+``step`` runs it on one row.
 """
 
 from __future__ import annotations
@@ -25,10 +26,24 @@ import scipy.sparse as sp
 from .data_io import write_csv
 from .hypergraph import AdjacencyView, TwoSimplexSet
 
+__all__ = [
+    "EpidemicParams",
+    "EpidemicState",
+    "initial_state",
+    "OutbreakStats",
+    "step",
+    "run_sir",
+    "rescale_params",
+    "classify_bistable",
+]
+
 S, I, R = 0, 1, 2
 
 # a run whose final size is under this fraction of the component is absorbing
 ABSORBING_CUT = 0.05
+
+# run_sir advances the live runs in row blocks of about this many (run, node) cells
+_BLOCK_CELLS = 2**19
 
 
 @dataclass
@@ -124,7 +139,7 @@ class OutbreakStats:
 # ---------------------------------------------------------------------------
 # kernel
 
-def _channels(view, simplices, beta1, beta2):
+def _channels(view: AdjacencyView, simplices: TwoSimplexSet, beta1: float, beta2: float):
     """(operator, escape table) of each channel; the triangle one is None if off.
 
     Pressures are integer sums of integer multiplicities, exact in any
@@ -137,7 +152,7 @@ def _channels(view, simplices, beta1, beta2):
                 (1.0 - beta) ** np.arange(top + 1.0))
     w = view.weighted
     pairwise = channel(w.data, w.indices, w.indptr, w.shape[1], view.weighted_degree, beta1)
-    if not (beta2 > 0.0 and simplices is not None and simplices.num_triples):
+    if not (beta2 > 0.0 and simplices.num_triples):
         return pairwise, None
     return pairwise, channel(simplices.center_weight, simplices.row_pair, simplices.center_ptr,
                              len(simplices.pair_a), simplices.node_triple_weight, beta2)
@@ -170,7 +185,7 @@ def _advance(status, age, u, channels, simplices, gamma):
 # public API
 
 def step(state: EpidemicState, view: AdjacencyView,
-         simplices: TwoSimplexSet | None, params: EpidemicParams,
+         simplices: TwoSimplexSet, params: EpidemicParams,
          rng: np.random.Generator) -> EpidemicState:
     """Advance one synchronous step; returns a new state at t + 1."""
     status = state.status[None, :].copy()
@@ -180,15 +195,17 @@ def step(state: EpidemicState, view: AdjacencyView,
     return EpidemicState(status=status[0], age=age[0], t=state.t + 1)
 
 
-def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
+def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
             params: EpidemicParams, runs: int = 100) -> OutbreakStats:
     """Independent Monte-Carlo runs from a fixed seed set.
 
     All runs advance together as the rows of one (runs, N) state, drawing
-    one (runs, N) block of uniforms per step from a single generator
+    one (runs, N) array of uniforms per step from a single generator
     seeded with params.rng_seed, so the same inputs, seed and number of
-    runs give the same samples.  Ended runs leave the state; runs still
-    infectious at t_max are flagged non-absorbed.
+    runs give the same samples.  That draw is made and used in row
+    blocks of about _BLOCK_CELLS cells, which bound each step's memory.
+    Ended runs leave the state; runs still infectious at t_max are
+    flagged non-absorbed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -199,7 +216,8 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
     channels = _channels(view, simplices, params.beta1, params.beta2)
     status = np.tile(initial_state(n, seeds).status, (runs, 1))
     age = np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma)))
-    final, live, u = status.copy(), np.arange(runs), np.empty((runs, n))
+    rows = max(1, min(runs, _BLOCK_CELLS // max(n, 1)))
+    final, live, u = status.copy(), np.arange(runs), np.empty((rows, n))
     for t in count():
         going = (status == I).any(axis=1)
         if not going.all():  # ended runs leave the state
@@ -207,8 +225,12 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet | None, seeds,
             status, age, live = status[going], age[going], live[going]
         if t >= t_max or not live.size:
             break
-        u[:live.size] = rng.random(out=u)[live]  # the live runs' uniforms, in place
-        _advance(status, age, u[:live.size], channels, simplices, params.gamma)
+        for r0 in range(0, runs, rows):  # consecutive row blocks give the same doubles
+            block = rng.random(out=u[:min(rows, runs - r0)])
+            lo, hi = live.searchsorted([r0, r0 + rows])
+            if lo < hi:  # a block whose runs are all live is used as drawn
+                mine = block if hi - lo == len(block) else block[live[lo:hi] - r0]
+                _advance(status[lo:hi], age[lo:hi], mine, channels, simplices, params.gamma)
     final[live] = status
     return OutbreakStats(runs=runs, sigma_samples=np.count_nonzero(final == R, axis=1),
                          absorbed=~(final == I).any(axis=1), gcc_size=n)

@@ -271,6 +271,8 @@ def test_cli_error_exit_codes(tmp_path):
     spaced.write_text("x y,z\nz,w\n")
     assert main(["stats", "--dataset", str(spaced)]) == 2  # label "x y" cannot be saved
     assert main(["bench", "--sizes", "1", "2", "--output-dir", str(tmp_path / "b")]) == 2
+    assert main(["bench", "--sizes", "60", "60", "--output-dir", str(tmp_path / "b")]) == 2
+    assert main(["bench", "--methods", "cia", "cia", "--output-dir", str(tmp_path / "b")]) == 2
     assert main(["generate", "--family", "bogus", "--num-nodes", "5"]) == 2
 
 
@@ -289,10 +291,12 @@ def test_cli_error_exit_codes(tmp_path):
     {"sizes": [1, 2]},
     {"mean_degree": 0.0},
     {"mean_degree": -3.5},
+    {"methods": ["cia", "degree", "cia"]},
+    {"sizes": [60, 60]},
 ], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
         "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
         "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
-        "negative_mean_degree"])
+        "negative_mean_degree", "repeated_methods", "repeated_sizes"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
     # malformed value can make the run exit 2; the error names it
@@ -547,7 +551,8 @@ def test_every_json_output_is_canonical(tmp_path):
     write_json(tmp_path / "eig.json", hs.leading_eigen(hs.build_wnb(v, 0.5, 1)).to_dict())
     write_json(tmp_path / "ds.json", hs.dataset_stats(h).to_dict())
     write_json(tmp_path / "sir.json",
-               hs.run_sir(v, None, [0], hs.EpidemicParams(beta1=0.3), runs=3).summary())
+               hs.run_sir(v, hs.enumerate_two_simplices(h), [0], hs.EpidemicParams(beta1=0.3),
+                          runs=3).summary())
     for name in ("eig.json", "ds.json", "sir.json"):
         assert canonical_json(tmp_path / name), name
 

@@ -131,7 +131,7 @@ def test_edgeless_hypergraph_adjacency():
     v = hs.build_adjacency(h)
     assert v.weighted.nnz == 0
     assert np.array_equal(v.node_degree, np.zeros(4, dtype=np.int64))
-    assert hs.simplex_densities(h) == (0.0, 0.0)
+    assert hs.simplex_densities(v, hs.enumerate_two_simplices(h)) == (0.0, 0.0)
 
 
 def test_adjacency_equals_incidence_identity_and_oracle():
@@ -371,11 +371,12 @@ def test_gcc_is_maximal_and_connected():
 # densities
 
 def test_density_single_triangle():
-    assert hs.simplex_densities(hs.Hypergraph(3, [(0, 1, 2)])) == (2.0, 1.0)
+    h = hs.Hypergraph(3, [(0, 1, 2)])
+    assert hs.simplex_densities(hs.build_adjacency(h), hs.enumerate_two_simplices(h)) == (2.0, 1.0)
 
 
 def test_density_weighted_by_multiplicity():
     h = hs.Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
-    k1, k2 = hs.simplex_densities(h)
+    k1, k2 = hs.simplex_densities(hs.build_adjacency(h), hs.enumerate_two_simplices(h))
     assert k1 == pytest.approx(3.0)
     assert k2 == pytest.approx(1.5)

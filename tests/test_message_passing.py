@@ -122,11 +122,9 @@ def test_tree_marginals_match_enumeration(edges, seed, b1):
     n = max(max(e) for e in edges) + 1
     v, ts = views(n, edges)
     exact = exact_final_marginals(n, edges, [seed], b1, 0.0, 1)
-    # no two-simplex set at all is the empty set
-    for simplices in (ts, None):
-        st = hs.mp_solve(v, simplices, hs.EpidemicParams(beta1=b1, beta2=0.0, gamma=1), [seed])
-        assert np.abs(st.node_r - exact).max() < 1e-9
-        assert np.allclose(st.node_s + st.node_i + st.node_r, 1.0)
+    st = hs.mp_solve(v, ts, hs.EpidemicParams(beta1=b1, beta2=0.0, gamma=1), [seed])
+    assert np.abs(st.node_r - exact).max() < 1e-9
+    assert np.allclose(st.node_s + st.node_i + st.node_r, 1.0)
 
 
 def test_forest_marginals_match_enumeration_at_unit_gamma():

@@ -166,7 +166,7 @@ def test_triangle_channel_shifts_curve_nonnegatively():
     g, _ = hs.giant_component(h)
     v = hs.build_adjacency(g)
     ts = hs.enumerate_two_simplices(g)
-    k1, k2 = hs.simplex_densities(g, view=v, simplices=ts)
+    k1, k2 = hs.simplex_densities(v, ts)
     seeds = [int(v.node_degree.argmax())]
     base = []
     for lam2 in (0.0, 0.8):
@@ -297,6 +297,13 @@ def test_kernel_matches_reference_bit_for_bit():
     assert non_absorbed > 0  # the t_max = 2 cases stop runs that are still infectious
 
 
+@pytest.mark.parametrize("block_cells", [7, 64, 1024])
+def test_kernel_matches_reference_in_small_row_blocks(monkeypatch, block_cells):
+    # small blocks give these graphs multi-block steps and blocks with no live run
+    monkeypatch.setattr(hs.sir, "_BLOCK_CELLS", block_cells)
+    test_kernel_matches_reference_bit_for_bit()
+
+
 def test_final_sizes_match_bond_percolation_at_scale():
     # beta2 = 0 outbreaks on ~1.8k scale-free nodes against the percolation
     # oracle, by a two-sample chi-square over 10 pooled-quantile bins.
@@ -305,7 +312,7 @@ def test_final_sizes_match_bond_percolation_at_scale():
     h, _ = hs.giant_component(hs.generate(hs.GenSpec(
         "scale_free", 2000, 4000, exponent=2.0, size_range=(2, 4), degree_range=(2, 60), rng_seed=3)))
     h = hs.Hypergraph(h.num_nodes, [*h.hyperedges, *h.hyperedges[:200]])
-    v = hs.build_adjacency(h)
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
     assert v.weighted.data.max() > 2  # multiplicities above 1 enter T_ij
     beta_c = hs.critical_beta1(v)
     seeds = np.random.default_rng(5).choice(v.num_nodes, 3, replace=False).tolist()
@@ -314,7 +321,7 @@ def test_final_sizes_match_bond_percolation_at_scale():
     samples = 300
     for gamma, factor in cases:
         beta1 = factor * beta_c / gamma
-        sir = hs.run_sir(v, None, seeds, hs.EpidemicParams(beta1, 0.0, gamma, rng_seed=11),
+        sir = hs.run_sir(v, ts, seeds, hs.EpidemicParams(beta1, 0.0, gamma, rng_seed=11),
                          runs=samples)
         assert sir.non_absorbed == 0
         perc = oracles.percolation_final_sizes(v, seeds, beta1, gamma, samples,
