@@ -12,12 +12,15 @@ all seven selection methods, ``spectrum --dump-operator``, ``fig3`` with
 and without ``--beta1 0``, and ``stats``, the last three on the
 generated instance.  The script then prints ``md5  relpath`` for every
 output file except ``provenance.json`` (it records paths), sorted by
-path, and two library lines no command writes: ``library/mp_solve``
+path, and three library lines no command writes: ``library/mp_solve``
 (the six state arrays, ``iterations`` and ``residual`` of a seeded
-solve) and ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
+solve), ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
 300-run ensemble, about 540k cells, which ``run_sir`` splits into row
-blocks), both on the generated instance's giant component.  Two trees
-produce the same outputs when their digests are equal:
+blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
+from the top-degree node with the triangle channel on, whose steps read
+only the infected sources until more than a quarter of the nodes are
+infected in some run), all on the generated instance's giant component.
+Two trees produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
          <(cd new && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/b)
@@ -82,17 +85,20 @@ def md5_of(*parts) -> str:
 
 
 def library_digest(outdir: Path) -> list[str]:
-    """Digests of an ``mp_solve`` state and a ``run_sir`` ensemble on the instance's GCC."""
+    """Digests of an ``mp_solve`` state and two ``run_sir`` ensembles on the instance's GCC."""
     gcc, _ = giant_component(load_hyperedge_list(outdir / "generate" / "instance.txt"))
     view, simplices = build_adjacency(gcc), enumerate_two_simplices(gcc)
     seeds = np.argsort(-view.node_degree, kind="stable")[:20].tolist()
     st = mp_solve(view, simplices, EpidemicParams(0.05, 0.1), seeds)
     sir = run_sir(view, simplices, seeds, EpidemicParams(0.05, 0.1, gamma=2, rng_seed=7),
                   runs=300)
+    sparse = run_sir(view, simplices, seeds[:1], EpidemicParams(0.03, 0.1, gamma=2, rng_seed=7),
+                     runs=20)
     state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
              st.residual)
     return [f"{md5_of(*state)}  library/mp_solve",
-            f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir"]
+            f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
+            f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed"]
 
 
 def cli() -> None:

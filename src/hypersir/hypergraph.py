@@ -166,7 +166,7 @@ class TwoSimplexSet:
     center, its triple's weight and the id of its other two members in
     the sorted table of distinct pairs ``pair_a/pair_b``.  So
     (center_weight, row_pair, center_ptr) is the CSR form of the N x P
-    center-by-pair weight matrix.
+    center-by-pair weight matrix and (pair_weight, pair_center, pair_ptr) its CSC form.
     """
 
     triples: np.ndarray          # (T, 3) int64, rows sorted
@@ -175,6 +175,9 @@ class TwoSimplexSet:
     row_pair: np.ndarray         # (3T,) pair id of the row's other two members
     center_weight: np.ndarray    # (3T,) triple weight per expanded row
     center_ptr: np.ndarray       # (N+1,) CSR pointer into expanded rows by center
+    pair_weight: np.ndarray      # (3T,) triple weight per expanded row, grouped by pair
+    pair_center: np.ndarray      # (3T,) center per row, by pair, ascending; int32 if it fits
+    pair_ptr: np.ndarray         # (P+1,) CSC pointer by pair, of pair_center's dtype
     pair_a: np.ndarray           # (P,) first member of each distinct pair
     pair_b: np.ndarray           # (P,) second member, pair_a < pair_b
     node_triple_weight: np.ndarray  # (N,) sum of weights of triples containing the node
@@ -242,6 +245,7 @@ def enumerate_two_simplices(
     center_weight = np.tile(weights, 3).take(order)
     row_pair = row_pair.take(order)
     center_ptr = centers.searchsorted(np.arange(h.num_nodes + 1))
+    by_pair = sp.csr_matrix((center_weight, row_pair, center_ptr), (h.num_nodes, len(pairs))).tocsc()
 
     return TwoSimplexSet(
         triples=triples,
@@ -250,6 +254,9 @@ def enumerate_two_simplices(
         row_pair=row_pair,
         center_weight=center_weight,
         center_ptr=center_ptr,
+        pair_weight=by_pair.data,
+        pair_center=by_pair.indices,
+        pair_ptr=by_pair.indptr,
         pair_a=pair_a,
         pair_b=pair_b,
         node_triple_weight=node_triple_weight,

@@ -9,13 +9,14 @@ susceptible node i escapes infection in one step with probability
 and otherwise becomes infectious.  Infectious nodes recover exactly
 ``gamma`` steps after infection.  One kernel advances the (runs, N)
 state of a whole ensemble per step, in row blocks that bound its memory:
-a gather of the triangles' member pairs, two sparse products, escape-
-table lookups and the block's uniforms; ended runs leave the state.
-``step`` runs it on one row.
+a gather of the triangles' member pairs and two sparse products, which
+read only the infected sources while they are few, escape-table lookups
+and the block's uniforms.  Ended runs leave the state; ``step`` runs it on one row.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import count
@@ -45,6 +46,9 @@ ABSORBING_CUT = 0.05
 # run_sir advances the live runs in row blocks of about this many (run, node) cells
 _BLOCK_CELLS = 2**19
 
+# a step reads only the infected sources while under this share of nodes is infected
+_SOURCE_SHARE = 0.25
+
 
 @dataclass
 class EpidemicParams:
@@ -68,6 +72,13 @@ class EpidemicParams:
             raise ValueError("beta2 must lie in [0, 1]")
         if self.gamma < 1 or int(self.gamma) != self.gamma:
             raise ValueError("gamma must be an integer >= 1")
+        if self.t_max is not None and not _is_count(self.t_max, 0):
+            raise ValueError(f"t_max must be None or an integer >= 0, got {self.t_max!r}")
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether value is an integer (not a bool) of at least low."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -142,20 +153,33 @@ class OutbreakStats:
 def _channels(view: AdjacencyView, simplices: TwoSimplexSet, beta1: float, beta2: float):
     """(operator, escape table) of each channel; the triangle one is None if off.
 
+    The operator is the N x S CSC matrix whose column s lists the nodes
+    that source s (a node, or a triangle's member pair) presses on.
     Pressures are integer sums of integer multiplicities, exact in any
     order, so (1 - beta)^pressure is a table lookup; entry 0 is exactly 1.
     """
     def channel(data, indices, indptr, width, bounds, beta):
         top = int(bounds.max(initial=0))
         data = data.astype(np.promote_types(np.int32, np.min_scalar_type(top)))
-        return (sp.csr_matrix((data, indices, indptr), shape=(view.num_nodes, width)),
+        return (sp.csc_matrix((data, indices, indptr), shape=(view.num_nodes, width)),
                 (1.0 - beta) ** np.arange(top + 1.0))
-    w = view.weighted
+    w = view.weighted  # symmetric, so its CSR arrays are its CSC arrays too
     pairwise = channel(w.data, w.indices, w.indptr, w.shape[1], view.weighted_degree, beta1)
     if not (beta2 > 0.0 and simplices.num_triples):
         return pairwise, None
-    return pairwise, channel(simplices.center_weight, simplices.row_pair, simplices.center_ptr,
+    return pairwise, channel(simplices.pair_weight, simplices.pair_center, simplices.pair_ptr,
                              len(simplices.pair_a), simplices.node_triple_weight, beta2)
+
+
+def _pressure(operator, sources, x):
+    """operator[:, sources] @ x for the sources' states x; a slice means all columns."""
+    if isinstance(sources, slice):
+        return operator @ x
+    lo, hi = operator.indptr.take(sources), operator.indptr.take(sources + 1)
+    ptr = np.concatenate(([0], np.cumsum(hi - lo)))
+    at = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], hi - lo)
+    return sp.csc_matrix((operator.data.take(at), operator.indices.take(at), ptr),
+                         shape=(operator.shape[0], len(sources))) @ x
 
 
 def _advance(status, age, u, channels, simplices, gamma):
@@ -163,17 +187,25 @@ def _advance(status, age, u, channels, simplices, gamma):
 
     Infections are decided from the pre-step state: one gather of the
     distinct member pairs with both members infected, one sparse product
-    per channel for the pressures, and escape-table lookups.
+    per channel for the pressures, and escape-table lookups.  While under
+    _SOURCE_SHARE of the nodes are infected in any run, the gather and the
+    products read only those nodes and the pairs of two of them.
     """
     infected = status == I
-    by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout CSR products take
+    by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout sparse products take
+    hot = by_node.any(axis=1)
+    few = np.count_nonzero(hot) < _SOURCE_SHARE * len(hot)
+    nodes = np.flatnonzero(hot) if few else slice(None)
     (adjacency, escape1), triangle = channels
     if triangle is None:
-        p_inf = (1.0 - escape1).take(adjacency @ by_node)
+        p_inf = (1.0 - escape1).take(_pressure(adjacency, nodes, by_node[nodes]))
     else:
         by_pair, escape2 = triangle
-        both = by_node.take(simplices.pair_a, axis=0) & by_node.take(simplices.pair_b, axis=0)
-        p_inf = 1.0 - escape1.take(adjacency @ by_node) * escape2.take(by_pair @ both)
+        a, b = simplices.pair_a, simplices.pair_b
+        pairs = np.flatnonzero(hot.take(a) & hot.take(b)) if few else slice(None)
+        both = by_node.take(a[pairs], axis=0) & by_node.take(b[pairs], axis=0)
+        p_inf = 1.0 - (escape1.take(_pressure(adjacency, nodes, by_node[nodes]))
+                       * escape2.take(_pressure(by_pair, pairs, both)))
     newly = (status == S) & (u < p_inf.T)
     recover = infected & (age >= gamma - 1)
     age += infected & ~recover
@@ -207,8 +239,8 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
     Ended runs leave the state; runs still infectious at t_max are
     flagged non-absorbed.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if not _is_count(runs, 1):
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     n = view.num_nodes
     t_max = params.t_max if params.t_max is not None else 10 * n
 

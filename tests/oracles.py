@@ -138,15 +138,22 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
     center_ptr = np.concatenate([[0], np.cumsum(rows_per_center)]).astype(np.int64)
     row_pairs = list(zip(np.array(other_a)[order].tolist(), np.array(other_b)[order].tolist()))
     pair_id = {p: k for k, p in enumerate(sorted(set(row_pairs)))}
+    row_pair = np.array([pair_id[p] for p in row_pairs], dtype=np.int64)
+    row_weight = np.array(center_weight, dtype=np.int64)[order]
+    by_pair = sorted(zip(row_pair.tolist(), centers.tolist(), row_weight.tolist()))
+    rows_per_pair = np.bincount(row_pair, minlength=len(pair_id))
     return {
         "triples": triples,
         "weights": weights,
         "centers": centers,
-        "row_pair": np.array([pair_id[p] for p in row_pairs], dtype=np.int64),
+        "row_pair": row_pair,
         "other_a": np.array(other_a, dtype=np.int64)[order],
         "other_b": np.array(other_b, dtype=np.int64)[order],
-        "center_weight": np.array(center_weight, dtype=np.int64)[order],
+        "center_weight": row_weight,
         "center_ptr": center_ptr,
+        "pair_weight": np.array([w for _, _, w in by_pair], dtype=np.int64),
+        "pair_center": np.array([c for _, c, _ in by_pair], dtype=np.int32),
+        "pair_ptr": np.concatenate([[0], np.cumsum(rows_per_pair)]).astype(np.int32),
         "pair_a": np.array([a for a, _ in pair_id], dtype=np.int64),
         "pair_b": np.array([b for _, b in pair_id], dtype=np.int64),
         "node_triple_weight": node_triple_weight,

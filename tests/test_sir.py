@@ -23,6 +23,19 @@ def test_params_validation():
         hs.EpidemicParams(beta1=0.5, beta2=-0.1)
     with pytest.raises(ValueError):
         hs.EpidemicParams(beta1=0.5, gamma=0)
+    for t_max in (-3, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="t_max must be None or an integer >= 0"):
+            hs.EpidemicParams(beta1=0.5, t_max=t_max)
+    assert hs.EpidemicParams(beta1=0.5, t_max=np.int64(0)).t_max == 0
+
+
+def test_run_sir_rejects_malformed_runs():
+    v, ts = views(4, [(0, 1, 2), (2, 3)])
+    params = hs.EpidemicParams(beta1=0.5)
+    for runs in (0, -1, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="runs must be an integer >= 1"):
+            hs.run_sir(v, ts, [0], params, runs=runs)
+    assert hs.run_sir(v, ts, [0], params, runs=np.int64(3)).runs == 3
 
 
 def test_run_sir_rejects_out_of_range_seeds():
@@ -274,6 +287,36 @@ def kernel_cases():
     for h in (hs.Hypergraph(0), hs.Hypergraph(7)):
         yield h, [], hs.EpidemicParams(0.5, 0.5, rng_seed=1), 4
     yield hs.Hypergraph(7), [2, 5], hs.EpidemicParams(0.5, 0.5, gamma=2, rng_seed=1), 4
+    yield path_switching_case()
+
+
+def path_switching_case():
+    """300 nodes, one seed, beta2 > 0: the kernel's steps change path mid-run."""
+    rng = np.random.default_rng(1)
+    edges = [sorted(rng.choice(300, size=int(rng.integers(2, 5)), replace=False).tolist())
+             for _ in range(450)]
+    seeds = [int(rng.integers(300))]
+    return hs.Hypergraph(300, edges), seeds, hs.EpidemicParams(0.3, 0.5, gamma=2, rng_seed=1), 6
+
+
+def test_path_switching_case_takes_both_paths(monkeypatch):
+    # while few nodes are infected in any run the kernel reads only the infected
+    # sources, and the first such steps have no pair of two infected nodes
+    h, seeds, params, runs = path_switching_case()
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+    shares, pairless, advance = [], 0, hs.sir._advance
+
+    def spy(status, *args):
+        nonlocal pairless
+        hot = (status == hs.sir.I).any(axis=0)
+        shares.append(hot.mean())
+        pairless += hot.mean() < hs.sir._SOURCE_SHARE and not (hot[ts.pair_a] & hot[ts.pair_b]).any()
+        advance(status, *args)
+
+    monkeypatch.setattr(hs.sir, "_advance", spy)
+    hs.run_sir(v, ts, seeds, params, runs=runs)
+    assert min(shares) < hs.sir._SOURCE_SHARE <= max(shares)
+    assert pairless > 0
 
 
 def test_kernel_matches_reference_bit_for_bit():
@@ -301,6 +344,14 @@ def test_kernel_matches_reference_bit_for_bit():
 def test_kernel_matches_reference_in_small_row_blocks(monkeypatch, block_cells):
     # small blocks give these graphs multi-block steps and blocks with no live run
     monkeypatch.setattr(hs.sir, "_BLOCK_CELLS", block_cells)
+    test_kernel_matches_reference_bit_for_bit()
+
+
+@pytest.mark.parametrize("share", [0.0, 2.0], ids=["full_products", "infected_sources"])
+def test_kernel_matches_reference_on_either_path(monkeypatch, share):
+    # 0 keeps every step on the full products; 2 makes every step read only
+    # the infected sources, in run_sir and in step
+    monkeypatch.setattr(hs.sir, "_SOURCE_SHARE", share)
     test_kernel_matches_reference_bit_for_bit()
 
 
