@@ -8,13 +8,17 @@ Usage (from the root of the tree to digest):
 Every command goes through ``hypersir.cli.main`` with its outputs under
 OUTDIR: ``generate`` (a scale-free instance, N=2000, seed 3),
 ``experiment`` on the benchmark's sweep config at seeds 1 and 2027 with
-all seven selection methods, ``spectrum --dump-operator``, ``fig3`` with
-and without ``--beta1 0``, and ``stats``, the last three on the
-generated instance.  The script then prints ``md5  relpath`` for every
-output file except ``provenance.json`` (it records paths), sorted by
-path, and three library lines no command writes: ``library/mp_solve``
-(the six state arrays, ``iterations`` and ``residual`` of a seeded
-solve), ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
+all seven selection methods, ``spectrum --dump-operator``, ``spectrum
+--size-cap 3``, ``fig3`` with and without ``--beta1 0``, and ``stats``,
+the last four on the generated instance.  The script then prints ``md5
+relpath`` for every output file except ``provenance.json`` (it records
+paths), sorted by path; for every ``provenance.json`` its ``size_cap``
+and ``skipped_hyperedges`` (absent ones read None); and four library
+lines no command writes: ``library/leading_eigen`` (``lambda_c`` repr,
+``iterations``, ``residual`` and the eigenvector's md5 of the operator
+at beta1 0.3 and gamma 2), ``library/mp_solve`` (the six state arrays,
+``iterations`` and ``residual`` of a seeded solve),
+``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
 300-run ensemble, about 540k cells, which ``run_sir`` splits into row
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
@@ -29,13 +33,14 @@ Two trees produce the same outputs when their digests are equal:
 import argparse
 import contextlib
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from hypersir import (EpidemicParams, build_adjacency, enumerate_two_simplices, giant_component,
-                      load_hyperedge_list, mp_solve, run_sir)
+from hypersir import (EpidemicParams, build_adjacency, build_wnb, enumerate_two_simplices,
+                      giant_component, leading_eigen, load_hyperedge_list, mp_solve, run_sir)
 from hypersir.cli import KNOWN_METHODS, main
 
 INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges", "4000",
@@ -59,6 +64,7 @@ def run_commands(outdir: Path) -> None:
         "experiment-s1": sweep_args(1),
         "experiment-s2027": sweep_args(2027),
         "spectrum": ["spectrum", "--dataset", data, "--dump-operator"],
+        "spectrum-cap3": ["spectrum", "--dataset", data, "--size-cap", "3"],
         "fig3": ["fig3", "--dataset", data],
         "fig3-beta1-0": ["fig3", "--dataset", data, "--beta1", "0"],
         "stats": ["stats", "--dataset", data],
@@ -76,6 +82,16 @@ def digest(outdir: Path) -> list[str]:
             if p.is_file() and p.name != "provenance.json"]
 
 
+def provenance_caps(outdir: Path) -> list[str]:
+    """``size_cap skipped_hyperedges  relpath`` of every provenance.json."""
+    lines = []
+    for p in sorted(outdir.rglob("provenance.json")):
+        doc = json.loads(p.read_text())
+        lines.append(f"{doc.get('size_cap')} {doc.get('skipped_hyperedges')}  "
+                     f"{p.relative_to(outdir).as_posix()}")
+    return lines
+
+
 def md5_of(*parts) -> str:
     md5 = hashlib.md5()
     for part in parts:
@@ -85,9 +101,11 @@ def md5_of(*parts) -> str:
 
 
 def library_digest(outdir: Path) -> list[str]:
-    """Digests of an ``mp_solve`` state and two ``run_sir`` ensembles on the instance's GCC."""
+    """Digests of a ``leading_eigen`` result, an ``mp_solve`` state and two
+    ``run_sir`` ensembles on the instance's GCC."""
     gcc, _ = giant_component(load_hyperedge_list(outdir / "generate" / "instance.txt"))
     view, simplices = build_adjacency(gcc), enumerate_two_simplices(gcc)
+    eig = leading_eigen(build_wnb(view, 0.3, 2))
     seeds = np.argsort(-view.node_degree, kind="stable")[:20].tolist()
     st = mp_solve(view, simplices, EpidemicParams(0.05, 0.1), seeds)
     sir = run_sir(view, simplices, seeds, EpidemicParams(0.05, 0.1, gamma=2, rng_seed=7),
@@ -96,7 +114,9 @@ def library_digest(outdir: Path) -> list[str]:
                      runs=20)
     state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
              st.residual)
-    return [f"{md5_of(*state)}  library/mp_solve",
+    return [f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
+            "library/leading_eigen",
+            f"{md5_of(*state)}  library/mp_solve",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
             f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed"]
 
@@ -106,7 +126,7 @@ def cli() -> None:
     parser.add_argument("outdir", type=Path, help="directory for the command outputs")
     outdir = parser.parse_args().outdir.resolve()
     run_commands(outdir)
-    print("\n".join(digest(outdir) + library_digest(outdir)))
+    print("\n".join(digest(outdir) + provenance_caps(outdir) + library_digest(outdir)))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -50,7 +50,7 @@ from .influence import (
     top_overlap_curve,
 )
 from .message_passing import build_wnb, critical_beta1, leading_eigen
-from .sir import EpidemicParams, rescale_params, run_sir
+from .sir import EpidemicParams, _is_count, rescale_params, run_sir
 
 __all__ = [
     "ExperimentConfig",
@@ -69,10 +69,6 @@ RESULT_COLUMNS = (
     "k", "runs", "sigma_mean", "sigma_std", "fraction_of_gcc",
     "non_absorbed", "error",
 )
-
-
-def _is_count(val, low: int) -> bool:
-    return not isinstance(val, bool) and isinstance(val, numbers.Integral) and val >= low
 
 
 @dataclass
@@ -200,24 +196,36 @@ def _load_raw(cfg: ExperimentConfig) -> Hypergraph:
 
 @dataclass
 class PreparedInput:
+    """The working hypergraph and its adjacency view.
+
+    The triangle set is enumerated on the first read of ``simplices``,
+    which only ``experiment`` makes; ``densities`` derives from it.
+    """
+
     work: Hypergraph
     view: AdjacencyView
-    simplices: TwoSimplexSet
-    k1: float
-    k2: float
+    size_cap: int
+
+    @functools.cached_property
+    def simplices(self) -> TwoSimplexSet:
+        return enumerate_two_simplices(self.work, size_cap=self.size_cap)
+
+    @functools.cached_property
+    def densities(self) -> tuple[float, float]:
+        """(k1, k2), as :func:`simplex_densities` gives them."""
+        return simplex_densities(self.view, self.simplices)
 
     def triangle_provenance(self) -> dict:
-        ts = self.simplices
-        return {"size_cap": ts.size_cap, "skipped_hyperedges": ts.skipped_hyperedges}
+        """The cap and the count of hyperedges it leaves out of the triangle set."""
+        sizes = np.diff(self.work.edge_ptr)
+        skipped = np.count_nonzero((sizes >= 3) & (sizes > self.size_cap))
+        return {"size_cap": self.size_cap, "skipped_hyperedges": int(skipped)}
 
 
 def prepare_input(cfg: ExperimentConfig) -> PreparedInput:
     h = _load_raw(cfg)
     work = giant_component(h)[0] if cfg.use_gcc else h
-    view = build_adjacency(work)
-    simplices = enumerate_two_simplices(work, size_cap=cfg.size_cap)
-    k1, k2 = simplex_densities(view, simplices)
-    return PreparedInput(work, view, simplices, k1, k2)
+    return PreparedInput(work, build_adjacency(work), cfg.size_cap)
 
 
 def resolve_seed_counts(cfg: ExperimentConfig, gcc_size: int) -> list[int]:
@@ -316,7 +324,7 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
     rows, details = [], []
     method = "-"
     try:
-        b1, b2 = _cell_rates(mode1, v1, mode2, v2, inp.k1, inp.k2, cfg.gamma)
+        b1, b2 = _cell_rates(mode1, v1, mode2, v2, *inp.densities, cfg.gamma)
         for method in cfg.methods:
             # only random reads sel_seed; the other methods select once per k
             key = (method, k, sel_seed if method == "random" else None)
@@ -342,6 +350,7 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
 
 def cmd_experiment(cfg: ExperimentConfig) -> int:
     inp = prepare_input(cfg)
+    k1, k2 = inp.densities  # enumerates the triangles here, before the cells share inp
     cells = _experiment_cells(cfg, inp)
     outdir = _outdir(cfg)
     seed_sets: dict = {}  # shared by this call's cells; racing workers may both fill a key
@@ -364,7 +373,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     _write_provenance(outdir, "experiment", cfg, outputs,
                       extra={"cells": len(cells), "failed_cells": len(errors),
                              "gcc_size": inp.work.num_nodes,
-                             "k1_mean": inp.k1, "k2_mean": inp.k2,
+                             "k1_mean": k1, "k2_mean": k2,
                              **inp.triangle_provenance()})
     print(f"wrote {outdir / 'results.csv'}: {len(cells)} cells, "
           f"{len(rows)} rows, {len(errors)} failed")

@@ -55,7 +55,9 @@ class _CavityPlumb:
     ``tlink_b`` give the ids of links (m -> i) and (l -> i) whose
     infection messages feed the triangle factor, and ``excl_a`` and
     ``excl_b`` the ids of their reverses (i -> m) and (i -> l), the two
-    links whose cavity products leave that row out.
+    links whose cavity products leave that row out.  ``link_power`` and
+    ``center_power`` are the link and row weights as floats, the exponents
+    of the two channels' factors.
     """
 
     tlink_a: np.ndarray
@@ -63,22 +65,36 @@ class _CavityPlumb:
     excl_a: np.ndarray
     excl_b: np.ndarray
     centers: np.ndarray
-    center_weight: np.ndarray
+    link_power: np.ndarray
+    center_power: np.ndarray
 
 
 def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet) -> _CavityPlumb:
-    try:
-        tlink_a = links.link_ids(simplices.other_a, simplices.centers)
-        tlink_b = links.link_ids(simplices.other_b, simplices.centers)
-    except KeyError:
-        raise ValueError("two-simplex set references pairs absent from the link index") from None
+    """Look up the links (center -> other) of every expanded row.
+
+    The rows are grouped by ascending center, so the queries into the
+    (src, dst)-sorted keys src * N + dst walk forward.  A key aliases
+    another only for an other outside [0, N); that node centers rows of
+    its own triangle, whose queries exceed every key, so the set is
+    still refused.
+    """
+    n, centers = links.num_nodes, simplices.centers
+    keys = links.src * n + links.dst
+    excl = []
+    for other in (simplices.other_a, simplices.other_b):
+        query = centers * n + other
+        ids = keys.searchsorted(query)
+        if len(query) and not (len(keys) and np.array_equal(keys.take(ids, mode="clip"), query)):
+            raise ValueError("two-simplex set references pairs absent from the link index")
+        excl.append(ids)
     return _CavityPlumb(
-        tlink_a=tlink_a,
-        tlink_b=tlink_b,
-        excl_a=links.reverse[tlink_a],
-        excl_b=links.reverse[tlink_b],
-        centers=simplices.centers,
-        center_weight=simplices.center_weight,
+        tlink_a=links.reverse.take(excl[0]),
+        tlink_b=links.reverse.take(excl[1]),
+        excl_a=excl[0],
+        excl_b=excl[1],
+        centers=centers,
+        link_power=links.weight.astype(np.float64),
+        center_power=simplices.center_weight.astype(np.float64),
     )
 
 
@@ -144,16 +160,22 @@ def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet, seeds) -> Me
 
 
 def _log_factors(x: np.ndarray, power: np.ndarray):
-    """``power * log(1 - x)`` and the mask of exact-zero factors (x >= 1).
+    """``power * log(1 - x)``, in place over x, and the mask of exact-zero
+    factors (x >= 1).
 
     Zero factors enter the log sums as log 1 (``log1p(-1) * 0`` is NaN)
     and are counted by the caller instead; the mask is None when there
     are none.
     """
     zero = x >= 1.0
-    if not zero.any():
-        return power * np.log1p(-x), None
-    return power * np.log1p(-np.where(zero, 0.0, x)), zero
+    if zero.any():
+        x[zero] = 0.0
+    else:
+        zero = None
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= power
+    return x, zero
 
 
 def _escape_products(msgs: MessageState, params: EpidemicParams):
@@ -171,15 +193,17 @@ def _escape_products(msgs: MessageState, params: EpidemicParams):
     links, plumb = msgs.links, msgs.plumb
     n, num_links = links.num_nodes, links.num_links
 
-    logf, zf = _log_factors(params.beta1 * msgs.i_msg, links.weight)
+    logf, zf = _log_factors(params.beta1 * msgs.i_msg, plumb.link_power)
     full = np.bincount(links.dst, logf, minlength=n)
-    own = logf[links.reverse]
+    own = logf.take(links.reverse)
     # (per-node, per-link own) counts of exact-zero factors, one pair per channel
     zero_counts = [] if zf is None else [(np.bincount(links.dst[zf], minlength=n),
-                                          zf[links.reverse])]
+                                          zf.take(links.reverse))]
     if params.beta2 > 0.0 and len(plumb.centers):
-        x = params.beta2 * msgs.i_msg[plumb.tlink_a] * msgs.i_msg[plumb.tlink_b]
-        logg, zg = _log_factors(x, plumb.center_weight)
+        x = msgs.i_msg.take(plumb.tlink_a)
+        x *= params.beta2
+        x *= msgs.i_msg.take(plumb.tlink_b)
+        logg, zg = _log_factors(x, plumb.center_power)
         full += np.bincount(plumb.centers, logg, minlength=n)
         own += np.bincount(plumb.excl_a, logg, minlength=num_links)
         own += np.bincount(plumb.excl_b, logg, minlength=num_links)
@@ -187,7 +211,9 @@ def _escape_products(msgs: MessageState, params: EpidemicParams):
             zero_counts.append((np.bincount(plumb.centers[zg], minlength=n),
                                 np.bincount(plumb.excl_a[zg], minlength=num_links)
                                 + np.bincount(plumb.excl_b[zg], minlength=num_links)))
-    esc_cav = np.exp(full[links.src] - own)
+    esc_cav = full.take(links.src)
+    esc_cav -= own
+    np.exp(esc_cav, out=esc_cav)
     esc_full = np.exp(full)
     for node_zeros, own_zeros in zero_counts:
         esc_cav[node_zeros[links.src] > own_zeros] = 0.0
@@ -278,11 +304,16 @@ class WnbOperator:
     infection messages and vanish at this point, so no triangle
     parameter appears.  :meth:`matvec` applies it matrix-free; the CSR
     forms ``skeleton`` (entries A_ki) and ``matrix`` are built per read.
+    ``scaled_weight`` holds ``beta1 * gamma * weight`` per link.
     """
 
     beta1: float
     gamma: float
     links: LinkIndex = field(repr=False)
+    scaled_weight: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scaled_weight = (self.beta1 * self.gamma) * self.links.weight
 
     @property
     def num_links(self) -> int:
@@ -291,9 +322,10 @@ class WnbOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """(Bx)[i -> j] = sum_{k -> i} w A_ki x[k -> i] - w A_ji x[j -> i]."""
         links = self.links
-        wx = (self.beta1 * self.gamma) * links.weight * x
-        into = np.bincount(links.dst, weights=wx, minlength=links.num_nodes)
-        return into[links.src] - wx[links.reverse]
+        wx = self.scaled_weight * x
+        out = np.bincount(links.dst, weights=wx, minlength=links.num_nodes).take(links.src)
+        out -= wx.take(links.reverse)
+        return out
 
     @property
     def skeleton(self) -> sp.csr_matrix:
@@ -399,9 +431,11 @@ def leading_eigen(
     lam_prev = math.inf
     lam = 0.0
     for it in range(1, max_iters + 1):
-        w = op.matvec(v) + shift * v
+        w = op.matvec(v)
+        w += shift * v
         nrm = float(w.sum())
-        v = w / nrm
+        w /= nrm
+        v = w
         lam = nrm - shift
         if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
             resid = _residual(op, v, lam)

@@ -70,15 +70,22 @@ class EpidemicParams:
             raise ValueError("beta1 must lie in [0, 1]")
         if not 0.0 <= self.beta2 <= 1.0:
             raise ValueError("beta2 must lie in [0, 1]")
-        if self.gamma < 1 or int(self.gamma) != self.gamma:
-            raise ValueError("gamma must be an integer >= 1")
+        if not _is_count(self.gamma, 1):
+            raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
         if self.t_max is not None and not _is_count(self.t_max, 0):
             raise ValueError(f"t_max must be None or an integer >= 0, got {self.t_max!r}")
+        if not _is_count(self.rng_seed, 0):
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_count(value, low: int) -> bool:
     """Whether value is an integer (not a bool) of at least low."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+    return _is_integer(value) and value >= low
 
 
 @dataclass
@@ -102,7 +109,11 @@ def initial_state(num_nodes: int, seeds) -> EpidemicState:
     """All-susceptible state with the seed nodes infectious at age 0."""
     status = np.zeros(num_nodes, dtype=np.int8)
     age = np.zeros(num_nodes, dtype=np.int64)
-    seeds = np.asarray(list(seeds), dtype=np.int64)
+    seeds = list(seeds)
+    for seed in seeds:
+        if not _is_integer(seed):
+            raise ValueError(f"seed id {seed!r} is not an integer")
+    seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.size:
         if seeds.min() < 0 or seeds.max() >= num_nodes:
             raise ValueError("seed id out of range")

@@ -431,6 +431,21 @@ def leave_one_out_escape(view, simplices, i_msg, beta1, beta2):
             np.array([z for _, z in cav], dtype=bool), np.array([z for _, z in full], dtype=bool))
 
 
+def reference_plumb(links, simplices):
+    """Cavity plumbing arrays by ``link_ids(other, center)``, one lookup per channel.
+
+    For every expanded triple row, the ids of the in-links (other -> center)
+    and of their reverses, its center and its weight as a float; KeyError
+    when a pair is no link.
+    """
+    tlink_a = links.link_ids(simplices.other_a, simplices.centers)
+    tlink_b = links.link_ids(simplices.other_b, simplices.centers)
+    return {"tlink_a": tlink_a, "tlink_b": tlink_b,
+            "excl_a": links.reverse[tlink_a], "excl_b": links.reverse[tlink_b],
+            "centers": simplices.centers,
+            "center_power": simplices.center_weight.astype(np.float64)}
+
+
 def brute_collective_influence(num_nodes, hyperedges, beta1, gamma):
     """Triple-loop influence scores straight off the dense adjacency.
 

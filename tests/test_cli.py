@@ -5,6 +5,7 @@ import collections
 import json
 import shlex
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,48 @@ def test_provenance_reports_triangle_size_cap(tmp_path):
                      "--output-dir", str(out), *extra]) == 0
         prov = json.loads((out / "provenance.json").read_text())
         assert (prov["size_cap"], prov["skipped_hyperedges"]) == (4, 1), cmd
+
+
+def test_only_experiment_enumerates_triangles(tmp_path, monkeypatch):
+    p = tmp_path / "capped.txt"
+    p.write_text("0 1 2 3 4\n0 1 2\n2 5\n")
+
+    def refuse(*args, **kw):
+        raise AssertionError("triangle set enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_two_simplices", refuse)
+    for cmd, extra in (("spectrum", []), ("fig3", ["--n-grid", "50"])):
+        out = tmp_path / cmd
+        assert main([cmd, "--dataset", str(p), "--size-cap", "4",
+                     "--output-dir", str(out), *extra]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        assert (prov["size_cap"], prov["skipped_hyperedges"]) == (4, 1), cmd
+    assert main(["bench", "--sizes", "60", "120", "--methods", "degree", "--k-percent", "5",
+                 "--bench-repeats", "1", "--output-dir", str(tmp_path / "bench")]) == 0
+
+
+def test_experiment_enumerates_once_before_the_pool(tmp_path, monkeypatch):
+    data = sf_file(tmp_path)
+    threads = []
+    real = cli.enumerate_two_simplices
+
+    def recording(*args, **kw):
+        threads.append(threading.current_thread())
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "enumerate_two_simplices", recording)
+    assert main(["experiment", "--dataset", str(data), "--lambda1", "0.8", "1.2",
+                 "--lambda2", "0", "1", "--k-absolute", "2", "--methods", "degree", "random",
+                 "--runs", "2", "--workers", "2", "--output-dir", str(tmp_path / "exp")]) == 0
+    assert threads == [threading.main_thread()]
+
+    def broken(*args, **kw):
+        raise ValueError("no triangles today")
+
+    monkeypatch.setattr(cli, "enumerate_two_simplices", broken)
+    assert main(["experiment", "--dataset", str(data), "--lambda1", "0.8", "--workers", "2",
+                 "--output-dir", str(tmp_path / "exp2")]) == 2
+    assert not (tmp_path / "exp2" / "results.csv").exists()
 
 
 def test_readme_generate_and_spectrum_lines_run(tmp_path, monkeypatch, capsys):

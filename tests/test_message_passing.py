@@ -10,7 +10,7 @@ import pytest
 import hypersir as hs
 from hypersir import message_passing
 from hypersir.data_io import write_json
-from oracles import exact_final_marginals, leave_one_out_escape
+from oracles import exact_final_marginals, leave_one_out_escape, reference_plumb
 
 PATH5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 STAR_LEG = [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5]]
@@ -390,10 +390,56 @@ def test_spectral_json_and_coo_dump(tmp_path):
 
 def test_foreign_two_simplex_set_rejected():
     v, _ = views(4, PATH5[:3])
-    for other in ([[0, 1, 3]], [[3, 4, 5]]):
-        _, foreign = views(6, other)
+    # (0, 6) keys as 0 * 4 + 6 = 1 * 4 + 2, the link (1 -> 2)
+    for other in ([[0, 1, 3]], [[3, 4, 5]], [[0, 1, 6]], [[1, 2, 6]]):
+        _, foreign = views(7, other)
         with pytest.raises(ValueError, match="absent from the link index"):
             hs.initial_messages(v, foreign, [0])
+    empty, _ = views(3, [])
+    _, triangle = views(3, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="absent from the link index"):
+        hs.initial_messages(empty, triangle, [0])
+
+
+def random_multigraph(rng, n, isolated):
+    """Hyperedges of 2-5 of the first n - isolated nodes, some repeated."""
+    edges = [sorted(rng.choice(n - isolated, size=int(rng.integers(2, min(5, n - isolated) + 1)),
+                               replace=False).tolist())
+             for _ in range(int(rng.integers(1, 12)))]
+    edges += [edges[int(rng.integers(len(edges)))] for _ in range(int(rng.integers(0, 4)))]
+    return hs.Hypergraph(n, edges)
+
+
+def test_plumb_matches_link_id_lookups():
+    rng = np.random.default_rng(16)
+    checked = rejected = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 16))
+        h = random_multigraph(rng, n, isolated=int(rng.integers(0, n - 2)))
+        links = hs.build_link_index(hs.build_adjacency(h))
+        # the view's own triangles, a subset of its hyperedges, or a foreign set
+        pick = int(rng.integers(3))
+        if pick == 0:
+            other = h
+        elif pick == 1:
+            keep = [e for e in h.hyperedges if rng.random() < 0.6]
+            other = hs.Hypergraph(n, keep)
+        else:
+            other = random_multigraph(rng, n + int(rng.integers(0, 3)), isolated=0)
+        ts = hs.enumerate_two_simplices(other)
+        try:
+            want = reference_plumb(links, ts)
+        except KeyError:
+            with pytest.raises(ValueError, match="absent from the link index"):
+                message_passing._build_plumb(links, ts)
+            rejected += 1
+            continue
+        got = message_passing._build_plumb(links, ts)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(getattr(got, name), arr, err_msg=name)
+        np.testing.assert_array_equal(got.link_power, links.weight.astype(np.float64))
+        checked += int(ts.num_triples > 0)
+    assert checked > 50 and rejected > 20, (checked, rejected)
 
 
 def test_message_state_validation_rejects_bad_sums():

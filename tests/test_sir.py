@@ -27,6 +27,14 @@ def test_params_validation():
         with pytest.raises(ValueError, match="t_max must be None or an integer >= 0"):
             hs.EpidemicParams(beta1=0.5, t_max=t_max)
     assert hs.EpidemicParams(beta1=0.5, t_max=np.int64(0)).t_max == 0
+    for gamma in (0, 2.0, 1.5, True):
+        with pytest.raises(ValueError, match="gamma must be an integer >= 1"):
+            hs.EpidemicParams(beta1=0.5, gamma=gamma)
+    for rng_seed in (-1, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+            hs.EpidemicParams(beta1=0.5, rng_seed=rng_seed)
+    par = hs.EpidemicParams(beta1=0.5, gamma=np.int64(2), rng_seed=np.uint32(7))
+    assert (par.gamma, par.rng_seed) == (2, 7)
 
 
 def test_run_sir_rejects_malformed_runs():
@@ -44,6 +52,20 @@ def test_run_sir_rejects_out_of_range_seeds():
     for seeds in ([4], [0, -1]):
         with pytest.raises(ValueError, match="seed id out of range"):
             hs.run_sir(v, ts, seeds, params, runs=3)
+
+
+def test_seed_ids_must_be_integers():
+    v, ts = views(4, [(0, 1, 2), (2, 3)])
+    params = hs.EpidemicParams(beta1=0.5)
+    for seeds in ([1.7], [0, 2.0], [True], [0, np.float64(1.0)], [None], ["1"]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            hs.run_sir(v, ts, seeds, params, runs=2)
+        with pytest.raises(ValueError, match="is not an integer"):
+            hs.initial_messages(v, ts, seeds)
+        with pytest.raises(ValueError, match="is not an integer"):
+            hs.mp_solve(v, ts, params, seeds)
+    assert hs.initial_state(4, np.array([1, 3])).num_infected == 2
+    assert hs.initial_state(4, (np.int32(2),)).num_infected == 1
 
 
 def test_zero_infectivity_recovers_seeds_only():
