@@ -13,10 +13,12 @@ all seven selection methods, ``spectrum --dump-operator``, ``spectrum
 the last four on the generated instance.  The script then prints ``md5
 relpath`` for every output file except ``provenance.json`` (it records
 paths), sorted by path; for every ``provenance.json`` its ``size_cap``
-and ``skipped_hyperedges`` (absent ones read None); and four library
-lines no command writes: ``library/leading_eigen`` (``lambda_c`` repr,
-``iterations``, ``residual`` and the eigenvector's md5 of the operator
-at beta1 0.3 and gamma 2), ``library/mp_solve`` (the six state arrays,
+and ``skipped_hyperedges`` (absent ones read None); and five library
+lines no command writes: ``library/enumerate_two_simplices`` (the
+eight array fields of the triangle set with their dtypes),
+``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
+``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
+gamma 2), ``library/mp_solve`` (the six state arrays,
 ``iterations`` and ``residual`` of a seeded solve),
 ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
 300-run ensemble, about 540k cells, which ``run_sir`` splits into row
@@ -101,8 +103,8 @@ def md5_of(*parts) -> str:
 
 
 def library_digest(outdir: Path) -> list[str]:
-    """Digests of a ``leading_eigen`` result, an ``mp_solve`` state and two
-    ``run_sir`` ensembles on the instance's GCC."""
+    """Digests of the triangle set, a ``leading_eigen`` result, an ``mp_solve``
+    state and two ``run_sir`` ensembles on the instance's GCC."""
     gcc, _ = giant_component(load_hyperedge_list(outdir / "generate" / "instance.txt"))
     view, simplices = build_adjacency(gcc), enumerate_two_simplices(gcc)
     eig = leading_eigen(build_wnb(view, 0.3, 2))
@@ -114,7 +116,11 @@ def library_digest(outdir: Path) -> list[str]:
                      runs=20)
     state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
              st.residual)
-    return [f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
+    fields = ("triples", "weights", "pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b",
+              "node_triple_weight")
+    tri = [getattr(simplices, name) for name in fields]
+    return [f"{md5_of(*tri, *(a.dtype.str for a in tri))}  library/enumerate_two_simplices",
+            f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",

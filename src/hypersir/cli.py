@@ -40,6 +40,7 @@ from .hypergraph import (
     build_adjacency,
     enumerate_two_simplices,
     giant_component,
+    oversized_hyperedges,
     simplex_densities,
 )
 from .influence import (
@@ -217,8 +218,7 @@ class PreparedInput:
 
     def triangle_provenance(self) -> dict:
         """The cap and the count of hyperedges it leaves out of the triangle set."""
-        sizes = np.diff(self.work.edge_ptr)
-        skipped = np.count_nonzero((sizes >= 3) & (sizes > self.size_cap))
+        skipped = np.count_nonzero(oversized_hyperedges(self.work, self.size_cap))
         return {"size_cap": self.size_cap, "skipped_hyperedges": int(skipped)}
 
 

@@ -20,6 +20,7 @@ from .hypergraph import (
     build_adjacency,
     enumerate_two_simplices,
     giant_component,
+    oversized_hyperedges,
     simplex_densities,
 )
 
@@ -81,8 +82,14 @@ def load_benson(nverts_path, simplices_path, collapse_duplicates: bool = True) -
     ``collapse_duplicates`` drops repeated labels inside one hyperedge
     (some published files list a member twice) instead of erroring.
     """
+    sizes = []
     with open(nverts_path) as fh:
-        sizes = [int(tok) for tok in fh.read().split()]
+        for tok in fh.read().split():
+            try:
+                sizes.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"{nverts_path}: hyperedge size {tok!r} is not an integer") from None
     if any(s < 1 for s in sizes):
         raise ValueError(f"{nverts_path}: hyperedge sizes must be positive")
     with open(simplices_path) as fh:
@@ -199,8 +206,7 @@ def dataset_stats(
         return DatasetStats(work.num_nodes, work.num_hyperedges, 0,
                             0.0, 0.0, 0.0, 0.0, 0, dedup)
     view = build_adjacency(gcc)
-    simplices = enumerate_two_simplices(gcc, size_cap=size_cap)
-    k1, k2 = simplex_densities(view, simplices)
+    k1, k2 = simplex_densities(view, enumerate_two_simplices(gcc, size_cap=size_cap))
     return DatasetStats(
         n=work.num_nodes,
         m=work.num_hyperedges,
@@ -209,6 +215,6 @@ def dataset_stats(
         mean_hyperdegree=float(view.hyperdegree.mean()),
         k1_mean=k1,
         k2_mean=k2,
-        skipped_large_hyperedges=int(simplices.skipped_hyperedges),
+        skipped_large_hyperedges=int(oversized_hyperedges(gcc, size_cap).sum()),
         deduplicated=dedup,
     )

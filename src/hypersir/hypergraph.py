@@ -28,6 +28,7 @@ __all__ = [
     "AdjacencyView",
     "build_adjacency",
     "TwoSimplexSet",
+    "oversized_hyperedges",
     "enumerate_two_simplices",
     "LinkIndex",
     "build_link_index",
@@ -161,42 +162,31 @@ class TwoSimplexSet:
 
     A triple (i, k, l), i < k < l, is present iff at least one hyperedge
     contains all three nodes; its weight counts such hyperedges.  The
-    expanded rows hold the same triples once per member node, grouped by
-    center node, for fast per-node accumulation: each row stores its
-    center, its triple's weight and the id of its other two members in
-    the sorted table of distinct pairs ``pair_a/pair_b``.  So
-    (center_weight, row_pair, center_ptr) is the CSR form of the N x P
-    center-by-pair weight matrix and (pair_weight, pair_center, pair_ptr) its CSC form.
+    expanded rows hold the same triples once per member node, the center,
+    grouped by the sorted distinct pairs ``pair_a/pair_b`` of the other
+    two members: (pair_weight, pair_center, pair_ptr) is the CSC form of
+    the N x P center-by-pair weight matrix.
     """
 
     triples: np.ndarray          # (T, 3) int64, rows sorted
     weights: np.ndarray          # (T,) int64
-    centers: np.ndarray          # (3T,) expanded center node per row
-    row_pair: np.ndarray         # (3T,) pair id of the row's other two members
-    center_weight: np.ndarray    # (3T,) triple weight per expanded row
-    center_ptr: np.ndarray       # (N+1,) CSR pointer into expanded rows by center
     pair_weight: np.ndarray      # (3T,) triple weight per expanded row, grouped by pair
     pair_center: np.ndarray      # (3T,) center per row, by pair, ascending; int32 if it fits
     pair_ptr: np.ndarray         # (P+1,) CSC pointer by pair, of pair_center's dtype
     pair_a: np.ndarray           # (P,) first member of each distinct pair
     pair_b: np.ndarray           # (P,) second member, pair_a < pair_b
     node_triple_weight: np.ndarray  # (N,) sum of weights of triples containing the node
-    skipped_hyperedges: int
-    size_cap: int
 
     @property
     def num_triples(self) -> int:
         return len(self.weights)
 
-    @property
-    def other_a(self) -> np.ndarray:
-        """(3T,) first remaining member of each expanded row."""
-        return self.pair_a.take(self.row_pair)
 
-    @property
-    def other_b(self) -> np.ndarray:
-        """(3T,) second remaining member of each expanded row."""
-        return self.pair_b.take(self.row_pair)
+def oversized_hyperedges(h: Hypergraph, size_cap: int) -> np.ndarray:
+    """Mask of the hyperedges with a 3-subset that ``size_cap`` leaves out of
+    the triangle set: those larger than the cap (C(s,3) blow-up)."""
+    sizes = np.diff(h.edge_ptr)
+    return (sizes >= 3) & (sizes > size_cap)
 
 
 def enumerate_two_simplices(
@@ -205,15 +195,12 @@ def enumerate_two_simplices(
 ) -> TwoSimplexSet:
     """Enumerate weighted 2-simplices of ``h``.
 
-    Every 3-subset of every hyperedge is a triple.  Hyperedges larger
-    than ``size_cap`` are skipped (C(s,3) blow-up) and tallied in
-    ``skipped_hyperedges``; they still contribute pairwise adjacency
-    elsewhere.
+    Every 3-subset of every hyperedge is a triple, except in the
+    hyperedges :func:`oversized_hyperedges` marks; those still
+    contribute pairwise adjacency elsewhere.
     """
     sizes = np.diff(h.edge_ptr)
-    counted = sizes >= 3
-    skipped = int(np.count_nonzero(counted & (sizes > size_cap)))
-    counted &= sizes <= size_cap
+    counted = (sizes >= 3) & ~oversized_hyperedges(h, size_cap)
     starts = h.edge_ptr[:-1]
     # One row per (hyperedge, 3-subset); edges are sorted, so each row is too.
     rows = [h.members[starts[counted & (sizes == s)][:, None] + np.arange(s)]
@@ -234,34 +221,27 @@ def enumerate_two_simplices(
     # Expand each triple once per member, member-major: row m*T + t has
     # member m of triple t as center and the other two, a < b < N, as its
     # pair, keyed by the order-preserving a*N + b (int64 holds it for N up
-    # to 3e9).  A stable sort by center then groups the rows by center.
+    # to 3e9).  For one pair the centers of block 0 lie below a, those of
+    # block 1 between a and b and those of block 2 above b, each block in
+    # ascending order since the triples are sorted; so a stable sort by
+    # pair key also sorts each pair's rows by center.
     span = max(h.num_nodes, 1)
-    pairs, row_pair = np.unique(np.ravel(triples.T[[1, 0, 0]] * span + triples.T[[2, 2, 1]]),
-                                return_inverse=True)
-    pair_a, pair_b = np.divmod(pairs, span)
-    centers = triples.T.ravel()
-    order = centers.argsort(kind="stable")
-    centers = centers.take(order)
-    center_weight = np.tile(weights, 3).take(order)
-    row_pair = row_pair.take(order)
-    center_ptr = centers.searchsorted(np.arange(h.num_nodes + 1))
-    by_pair = sp.csr_matrix((center_weight, row_pair, center_ptr), (h.num_nodes, len(pairs))).tocsc()
+    keys = np.ravel(triples.T[[1, 0, 0]] * span + triples.T[[2, 2, 1]])
+    order = keys.argsort(kind="stable")
+    keys = keys.take(order)
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))  # first row of each pair; keys >= 0
+    pair_a, pair_b = np.divmod(keys.take(heads), span)
+    index = np.int32 if max(h.num_nodes, len(keys)) <= np.iinfo(np.int32).max else np.int64
 
     return TwoSimplexSet(
         triples=triples,
         weights=weights,
-        centers=centers,
-        row_pair=row_pair,
-        center_weight=center_weight,
-        center_ptr=center_ptr,
-        pair_weight=by_pair.data,
-        pair_center=by_pair.indices,
-        pair_ptr=by_pair.indptr,
+        pair_weight=np.tile(weights, 3).take(order),
+        pair_center=triples.T.ravel().take(order).astype(index),
+        pair_ptr=np.append(heads, len(keys)).astype(index),
         pair_a=pair_a,
         pair_b=pair_b,
         node_triple_weight=node_triple_weight,
-        skipped_hyperedges=skipped,
-        size_cap=size_cap,
     )
 
 

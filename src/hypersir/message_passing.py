@@ -70,31 +70,23 @@ class _CavityPlumb:
 
 
 def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet) -> _CavityPlumb:
-    """Look up the links (center -> other) of every expanded row.
-
-    The rows are grouped by ascending center, so the queries into the
-    (src, dst)-sorted keys src * N + dst walk forward.  A key aliases
-    another only for an other outside [0, N); that node centers rows of
-    its own triangle, whose queries exceed every key, so the set is
-    still refused.
-    """
-    n, centers = links.num_nodes, simplices.centers
-    keys = links.src * n + links.dst
-    excl = []
-    for other in (simplices.other_a, simplices.other_b):
-        query = centers * n + other
-        ids = keys.searchsorted(query)
-        if len(query) and not (len(keys) and np.array_equal(keys.take(ids, mode="clip"), query)):
-            raise ValueError("two-simplex set references pairs absent from the link index")
-        excl.append(ids)
+    """Look up the in-links (other -> center) of every expanded row, in the
+    pair-major order of the triangle set."""
+    per_pair = np.diff(simplices.pair_ptr)
+    centers = simplices.pair_center
+    try:
+        tlinks = [links.link_ids(np.repeat(other, per_pair), centers)
+                  for other in (simplices.pair_a, simplices.pair_b)]
+    except KeyError:
+        raise ValueError("two-simplex set references pairs absent from the link index") from None
     return _CavityPlumb(
-        tlink_a=links.reverse.take(excl[0]),
-        tlink_b=links.reverse.take(excl[1]),
-        excl_a=excl[0],
-        excl_b=excl[1],
+        tlink_a=tlinks[0],
+        tlink_b=tlinks[1],
+        excl_a=links.reverse.take(tlinks[0]),
+        excl_b=links.reverse.take(tlinks[1]),
         centers=centers,
         link_power=links.weight.astype(np.float64),
-        center_power=simplices.center_weight.astype(np.float64),
+        center_power=simplices.pair_weight.astype(np.float64),
     )
 
 
@@ -102,10 +94,11 @@ def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet) -> _CavityPlumb:
 class MessageState:
     """Per-link cavity state plus node marginals, advanced in lockstep.
 
-    ``s_msg/i_msg/r_msg[e]`` for link e = (i -> j) hold the state
-    distribution of i with j removed.  Node marginals integrate the full
-    (non-cavity) escape product alongside the messages, so the final
-    recovered marginal is available without a separate history pass.
+    ``s_msg/i_msg[e]`` for link e = (i -> j) hold the susceptible and
+    infected probabilities of i with j removed; the recovered share
+    ``r_msg`` is the rest.  Node marginals integrate the full (non-cavity)
+    escape product alongside the messages, so the final recovered
+    marginal ``node_r`` is available without a separate history pass.
     :func:`initial_messages` builds ``plumb``; :func:`mp_solve` fills
     in the solver metadata, whose ``iterations`` counts the steps taken.
     """
@@ -113,30 +106,29 @@ class MessageState:
     links: LinkIndex
     s_msg: np.ndarray
     i_msg: np.ndarray
-    r_msg: np.ndarray
     node_s: np.ndarray
     node_i: np.ndarray
-    node_r: np.ndarray
     plumb: _CavityPlumb = field(repr=False, compare=False)
     converged: bool | None = None
     iterations: int | None = None
     residual: float | None = None
     trace: list[float] | None = field(default=None, repr=False)
 
+    @property
+    def r_msg(self) -> np.ndarray:
+        return 1.0 - self.s_msg - self.i_msg
+
+    @property
+    def node_r(self) -> np.ndarray:
+        return 1.0 - self.node_s - self.node_i
+
     def validate(self, tol: float = 1e-9) -> None:
-        for name, lo in (("s_msg", self.s_msg), ("i_msg", self.i_msg),
-                         ("r_msg", self.r_msg), ("node_s", self.node_s),
-                         ("node_i", self.node_i), ("node_r", self.node_r)):
-            if not np.isfinite(lo).all():
+        for name in ("s_msg", "i_msg", "r_msg", "node_s", "node_i", "node_r"):
+            arr = getattr(self, name)
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
-            if lo.size and (lo.min() < -tol or lo.max() > 1.0 + tol):
+            if arr.size and (arr.min() < -tol or arr.max() > 1.0 + tol):
                 raise ValueError(f"{name} leaves [0, 1]")
-        link_sum = self.s_msg + self.i_msg + self.r_msg
-        node_sum = self.node_s + self.node_i + self.node_r
-        if link_sum.size and np.abs(link_sum - 1.0).max() > tol:
-            raise ValueError("link state sums deviate from 1")
-        if node_sum.size and np.abs(node_sum - 1.0).max() > tol:
-            raise ValueError("node state sums deviate from 1")
 
 
 def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet, seeds) -> MessageState:
@@ -151,10 +143,8 @@ def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet, seeds) -> Me
         links=links,
         s_msg=1.0 - i_msg,
         i_msg=i_msg,
-        r_msg=np.zeros(links.num_links),
         node_s=1.0 - node_i,
         node_i=node_i,
-        node_r=np.zeros(links.num_nodes),
         plumb=_build_plumb(links, simplices),
     )
 
@@ -194,7 +184,8 @@ def _escape_products(msgs: MessageState, params: EpidemicParams):
     n, num_links = links.num_nodes, links.num_links
 
     logf, zf = _log_factors(params.beta1 * msgs.i_msg, plumb.link_power)
-    full = np.bincount(links.dst, logf, minlength=n)
+    # bincount of no links is int64; the cast copies nothing otherwise
+    full = np.bincount(links.dst, logf, minlength=n).astype(np.float64, copy=False)
     own = logf.take(links.reverse)
     # (per-node, per-link own) counts of exact-zero factors, one pair per channel
     zero_counts = [] if zf is None else [(np.bincount(links.dst[zf], minlength=n),
@@ -230,20 +221,12 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
     """
     esc_cav, esc_full = _escape_products(msgs, params)
     keep = 1.0 - 1.0 / params.gamma
-    new_s = msgs.s_msg * esc_cav
-    new_i = msgs.s_msg * (1.0 - esc_cav) + msgs.i_msg * keep
-    new_r = msgs.r_msg + msgs.i_msg / params.gamma
-    node_s = msgs.node_s * esc_full
-    node_i = msgs.node_s * (1.0 - esc_full) + msgs.node_i * keep
-    node_r = msgs.node_r + msgs.node_i / params.gamma
     return replace(
         msgs,
-        s_msg=new_s,
-        i_msg=new_i,
-        r_msg=new_r,
-        node_s=node_s,
-        node_i=node_i,
-        node_r=node_r,
+        s_msg=msgs.s_msg * esc_cav,
+        i_msg=msgs.s_msg * (1.0 - esc_cav) + msgs.i_msg * keep,
+        node_s=msgs.node_s * esc_full,
+        node_i=msgs.node_s * (1.0 - esc_full) + msgs.node_i * keep,
     )
 
 
@@ -264,7 +247,7 @@ def mp_solve(
     trace, and the stationarity residual at the final point (largest
     violation of the steady-state balance for the S and I messages).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -277,8 +260,7 @@ def mp_solve(
         # np.max keeps a NaN change (Python's max drops it)
         delta = float(np.max([np.abs(a - b).max(initial=0.0) for a, b in (
             (state.s_msg, nxt.s_msg), (state.i_msg, nxt.i_msg),
-            (state.r_msg, nxt.r_msg), (state.node_s, nxt.node_s),
-            (state.node_i, nxt.node_i), (state.node_r, nxt.node_r),
+            (state.node_s, nxt.node_s), (state.node_i, nxt.node_i),
         )]))
         trace.append(delta)
         state = nxt
@@ -323,7 +305,9 @@ class WnbOperator:
         """(Bx)[i -> j] = sum_{k -> i} w A_ki x[k -> i] - w A_ji x[j -> i]."""
         links = self.links
         wx = self.scaled_weight * x
-        out = np.bincount(links.dst, weights=wx, minlength=links.num_nodes).take(links.src)
+        # bincount of no links is int64; the cast copies nothing otherwise
+        out = np.bincount(links.dst, weights=wx, minlength=links.num_nodes)
+        out = out.astype(np.float64, copy=False).take(links.src)
         out -= wx.take(links.reverse)
         return out
 
@@ -358,12 +342,16 @@ class WnbOperator:
                 fh.write(f"{r} {c} {v:.17g}\n")
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma >= 1:
+        raise ValueError("gamma must be at least 1")
+
+
 def build_wnb(view: AdjacencyView, beta1: float, gamma: float) -> WnbOperator:
     """The non-backtracking operator over the directed links of ``view``."""
-    if beta1 < 0:
+    if not beta1 >= 0:
         raise ValueError("beta1 must be nonnegative")
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    _check_gamma(gamma)
     return WnbOperator(beta1=beta1, gamma=gamma, links=build_link_index(view))
 
 
@@ -407,6 +395,8 @@ def leading_eigen(
     both cases short-circuit to an exact zero radius with an exact
     kernel vector.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     links = op.links
     num_links = links.num_links
     n_comp, _ = connected_components(
@@ -453,6 +443,7 @@ def critical_beta1(view: AdjacencyView, gamma: float = 1) -> float:
     Graphs without a non-backtracking cycle have radius 0 and no finite
     threshold; the result is then infinite.
     """
+    _check_gamma(gamma)
     rho = leading_eigen(build_wnb(view, beta1=1.0, gamma=1.0)).lambda_c
     if rho <= 0.0:
         return math.inf

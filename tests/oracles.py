@@ -103,62 +103,36 @@ def brute_triples_by_scan(num_nodes, hyperedges, size_cap=25):
 def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
     """Every field of a two-simplex set, by a dict over per-edge 3-subsets.
 
-    Returns {name: value} with the field and array-property names,
-    values, row order and dtypes of ``hypersir.TwoSimplexSet``; see that
-    class for the meaning of each.
+    Returns {name: value} with the field names, values, row order and
+    dtypes of ``hypersir.TwoSimplexSet``; see that class for the meaning
+    of each.
     """
     counts = {}
-    skipped = 0
     for e in hyperedges:
         e = tuple(sorted(e))
-        if len(e) < 3:
-            continue
-        if len(e) > size_cap:
-            skipped += 1
-            continue
-        for t in combinations(e, 3):
-            counts[t] = counts.get(t, 0) + 1
+        if 3 <= len(e) <= size_cap:
+            for t in combinations(e, 3):
+                counts[t] = counts.get(t, 0) + 1
     triples = np.array(sorted(counts), dtype=np.int64).reshape(-1, 3)
     weights = np.array([counts[tuple(t)] for t in triples.tolist()], dtype=np.int64)
-    centers, other_a, other_b, center_weight = [], [], [], []
-    for member in range(3):
-        for t, w in zip(triples.tolist(), weights.tolist()):
-            rest = t[:member] + t[member + 1:]
-            centers.append(t[member])
-            other_a.append(rest[0])
-            other_b.append(rest[1])
-            center_weight.append(w)
-    order = np.argsort(np.array(centers, dtype=np.int64), kind="stable")
-    centers = np.array(centers, dtype=np.int64)[order]
     node_triple_weight = np.zeros(num_nodes, dtype=np.int64)
-    rows_per_center = np.zeros(num_nodes, dtype=np.int64)
-    for c, w in zip(centers.tolist(), np.array(center_weight, dtype=np.int64)[order].tolist()):
-        node_triple_weight[c] += w
-        rows_per_center[c] += 1
-    center_ptr = np.concatenate([[0], np.cumsum(rows_per_center)]).astype(np.int64)
-    row_pairs = list(zip(np.array(other_a)[order].tolist(), np.array(other_b)[order].tolist()))
-    pair_id = {p: k for k, p in enumerate(sorted(set(row_pairs)))}
-    row_pair = np.array([pair_id[p] for p in row_pairs], dtype=np.int64)
-    row_weight = np.array(center_weight, dtype=np.int64)[order]
-    by_pair = sorted(zip(row_pair.tolist(), centers.tolist(), row_weight.tolist()))
-    rows_per_pair = np.bincount(row_pair, minlength=len(pair_id))
+    rows = []  # (pair, center, weight), one per triple member
+    for t, w in counts.items():
+        for member in range(3):
+            node_triple_weight[t[member]] += w
+            rows.append((t[:member] + t[member + 1:], t[member], w))
+    rows.sort()
+    rows_per_pair = Counter(pair for pair, _, _ in rows)
+    pairs = sorted(rows_per_pair)
     return {
         "triples": triples,
         "weights": weights,
-        "centers": centers,
-        "row_pair": row_pair,
-        "other_a": np.array(other_a, dtype=np.int64)[order],
-        "other_b": np.array(other_b, dtype=np.int64)[order],
-        "center_weight": row_weight,
-        "center_ptr": center_ptr,
-        "pair_weight": np.array([w for _, _, w in by_pair], dtype=np.int64),
-        "pair_center": np.array([c for _, c, _ in by_pair], dtype=np.int32),
-        "pair_ptr": np.concatenate([[0], np.cumsum(rows_per_pair)]).astype(np.int32),
-        "pair_a": np.array([a for a, _ in pair_id], dtype=np.int64),
-        "pair_b": np.array([b for _, b in pair_id], dtype=np.int64),
+        "pair_weight": np.array([w for _, _, w in rows], dtype=np.int64),
+        "pair_center": np.array([c for _, c, _ in rows], dtype=np.int32),
+        "pair_ptr": np.cumsum([0] + [rows_per_pair[p] for p in pairs]).astype(np.int32),
+        "pair_a": np.array([a for a, _ in pairs], dtype=np.int64),
+        "pair_b": np.array([b for _, b in pairs], dtype=np.int64),
         "node_triple_weight": node_triple_weight,
-        "skipped_hyperedges": skipped,
-        "size_cap": size_cap,
     }
 
 
@@ -304,16 +278,20 @@ def reference_advance(status, age, view, simplices, beta1, beta2, gamma, rng):
     The plain runs-batched kernel: a dense float product for the pairwise
     pressure, a scatter of the expanded triangle rows whose other two
     members are both infected for the triangle pressure, and the power
-    form (1 - beta)^pressure.  It draws one (R, N) block of uniforms per
-    step, so the package kernel, which reads the same block, must match
-    it bit for bit.
+    form (1 - beta)^pressure.  The rows are expanded here from the
+    triples and their weights, one per member as the center.  It draws
+    one (R, N) block of uniforms per step, so the package kernel, which
+    reads the same block, must match it bit for bit.
     """
     runs, n = status.shape
     infected = status == 1
     escape = (1.0 - beta1) ** (infected.astype(np.float64) @ view.weighted)
     if beta2 > 0.0 and simplices is not None and simplices.num_triples:
-        row, k = np.nonzero(infected[:, simplices.other_a] & infected[:, simplices.other_b])
-        tri = np.bincount(row * n + simplices.centers[k], weights=simplices.center_weight[k],
+        t = simplices.triples
+        centers, other_a, other_b = (np.concatenate(t[:, cols].T) for cols in
+                                     ([0, 1, 2], [1, 0, 0], [2, 2, 1]))
+        row, k = np.nonzero(infected[:, other_a] & infected[:, other_b])
+        tri = np.bincount(row * n + centers[k], weights=np.tile(simplices.weights, 3)[k],
                           minlength=runs * n)
         escape *= (1.0 - beta2) ** tri.reshape(runs, n)
     newly = (status == 0) & (rng.random((runs, n)) < 1.0 - escape)
@@ -432,18 +410,23 @@ def leave_one_out_escape(view, simplices, i_msg, beta1, beta2):
 
 
 def reference_plumb(links, simplices):
-    """Cavity plumbing arrays by ``link_ids(other, center)``, one lookup per channel.
+    """Cavity plumbing arrays by a dict from node pair to link id.
 
-    For every expanded triple row, the ids of the in-links (other -> center)
-    and of their reverses, its center and its weight as a float; KeyError
-    when a pair is no link.
+    For every expanded triple row, in the pair-major order of the set,
+    the ids of the in-links (other -> center) and of their reverses, its
+    center and its weight as a float; KeyError when a pair is no link.
     """
-    tlink_a = links.link_ids(simplices.other_a, simplices.centers)
-    tlink_b = links.link_ids(simplices.other_b, simplices.centers)
+    link_id = {(s, d): e for e, (s, d) in enumerate(zip(links.src.tolist(), links.dst.tolist()))}
+    tlink_a, tlink_b = [], []
+    for p, (a, b) in enumerate(zip(simplices.pair_a.tolist(), simplices.pair_b.tolist())):
+        for c in simplices.pair_center[simplices.pair_ptr[p]:simplices.pair_ptr[p + 1]].tolist():
+            tlink_a.append(link_id[a, c])
+            tlink_b.append(link_id[b, c])
+    tlink_a, tlink_b = np.array(tlink_a, dtype=np.int64), np.array(tlink_b, dtype=np.int64)
     return {"tlink_a": tlink_a, "tlink_b": tlink_b,
             "excl_a": links.reverse[tlink_a], "excl_b": links.reverse[tlink_b],
-            "centers": simplices.centers,
-            "center_power": simplices.center_weight.astype(np.float64)}
+            "centers": simplices.pair_center,
+            "center_power": simplices.pair_weight.astype(np.float64)}
 
 
 def brute_collective_influence(num_nodes, hyperedges, beta1, gamma):

@@ -342,6 +342,11 @@ def test_spectrum_triangle_and_forest(tmp_path):
     out2 = tmp_path / "spec2"
     assert main(["spectrum", "--dataset", str(p), "--output-dir", str(out2)]) == 0
     assert json.loads((out2 / "spectrum.json").read_text())["beta1_star"] == "inf"
+    # singleton lines only: a graph without links
+    p.write_text("a\nb\n")
+    assert main(["spectrum", "--dataset", str(p), "--output-dir", str(out2)]) == 0
+    doc = json.loads((out2 / "spectrum.json").read_text())
+    assert (doc["lambda_c"], doc["beta1_star"]) == (0.0, "inf")
 
 
 def test_spectrum_scales_with_beta1(tmp_path):

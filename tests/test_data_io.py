@@ -99,6 +99,9 @@ def test_benson_rejects_bad_size(tmp_path):
     sx = write(tmp_path, "simplices.txt", "")
     with pytest.raises(ValueError):
         hs.load_benson(nv, sx)
+    nv = write(tmp_path, "nverts.txt", "2\n2.5\n")
+    with pytest.raises(ValueError, match=r"nverts\.txt: hyperedge size '2\.5' is not an integer"):
+        hs.load_benson(nv, sx)
 
 
 def test_round_trip_preserves_stats(tmp_path):

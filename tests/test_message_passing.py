@@ -366,6 +366,22 @@ def test_forest_radius_is_exactly_zero():
     assert np.isfinite(res5.eigvec).all() and res5.eigvec.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("h", [hs.Hypergraph(3), hs.Hypergraph(0), hs.Hypergraph(3, [[0]])],
+                         ids=["isolated", "empty", "singleton"])
+def test_graphs_without_links(h):
+    # np.bincount of no links is int64, which in-place float updates refused
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+    res = hs.leading_eigen(hs.build_wnb(v, 0.9, 2))
+    assert (res.lambda_c, res.residual, res.converged) == (0.0, 0.0, True)
+    assert res.eigvec.dtype == np.float64 and len(res.eigvec) == 0
+    assert hs.critical_beta1(v, gamma=2) == math.inf
+    seeds = list(range(min(h.num_nodes, 2)))
+    st = hs.mp_solve(v, ts, hs.EpidemicParams(beta1=0.9, beta2=0.9, gamma=2), seeds)
+    assert st.converged and st.residual == 0.0
+    np.testing.assert_allclose(st.node_r, np.isin(np.arange(h.num_nodes), seeds), atol=1e-9)
+    st.validate()
+
+
 def test_spectral_json_and_coo_dump(tmp_path):
     v, _ = views(3, [[0, 1], [1, 2], [0, 2]])
     op = hs.build_wnb(v, 0.5, 1.0)
@@ -449,6 +465,12 @@ def test_message_state_validation_rejects_bad_sums():
     st.i_msg[0] += 0.5
     with pytest.raises(ValueError):
         st.validate()
+    # each share in [0, 1] but their sum above 1: the derived R share is negative
+    for s_name, i_name, r_name in (("s_msg", "i_msg", "r_msg"), ("node_s", "node_i", "node_r")):
+        st = hs.initial_messages(v, ts, [])
+        getattr(st, s_name)[0] = getattr(st, i_name)[0] = 0.6
+        with pytest.raises(ValueError, match=f"{r_name} leaves"):
+            st.validate()
 
 
 def test_solve_argument_validation():
@@ -458,6 +480,16 @@ def test_solve_argument_validation():
         hs.mp_solve(v, ts, par, [0], tol=0.0)
     with pytest.raises(ValueError):
         hs.mp_solve(v, ts, par, [0], max_iters=0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        hs.mp_solve(v, ts, par, [0], tol=math.nan)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        hs.leading_eigen(hs.build_wnb(v, 0.5, 1), tol=math.nan)
+    with pytest.raises(ValueError, match="beta1 must be nonnegative"):
+        hs.build_wnb(v, math.nan, 1)
+    for gamma in (0, -1, 0.5, math.nan):
+        for build in (lambda: hs.build_wnb(v, 0.5, gamma), lambda: hs.critical_beta1(v, gamma)):
+            with pytest.raises(ValueError, match="gamma must be at least 1"):
+                build()
     for seeds in ([7], [0, -1]):
         with pytest.raises(ValueError, match="seed id out of range"):
             hs.initial_messages(v, ts, seeds)
@@ -513,7 +545,7 @@ def test_nan_state_is_not_converged(monkeypatch):
     assert math.isnan(st.trace[-1])
 
 
-@pytest.mark.parametrize("name", ["s_msg", "node_r"])
+@pytest.mark.parametrize("name", ["s_msg", "node_i"])
 def test_message_state_validation_rejects_non_finite(name):
     v, ts = views(3, [[0, 1, 2]])
     st = hs.initial_messages(v, ts, [0])
