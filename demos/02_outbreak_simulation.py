@@ -15,7 +15,7 @@ spec = hs.GenSpec("scale_free", 1000, 2000, exponent=2.0,
 g, _ = hs.giant_component(hs.generate(spec))
 view = hs.build_adjacency(g)
 tris = hs.enumerate_two_simplices(g)
-k1, k2 = hs.simplex_densities(view, tris)
+k1, k2 = hs.simplex_densities(g)
 print(f"giant component: {g.num_nodes} nodes, k1={k1:.2f}, k2={k2:.2f}")
 
 # sweep the rescaled link infectivity at fixed triangle infectivity

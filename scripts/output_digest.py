@@ -13,9 +13,10 @@ all seven selection methods, ``spectrum --dump-operator``, ``spectrum
 the last four on the generated instance.  The script then prints ``md5
 relpath`` for every output file except ``provenance.json`` (it records
 paths), sorted by path; for every ``provenance.json`` its ``size_cap``
-and ``skipped_hyperedges`` (absent ones read None); and five library
-lines no command writes: ``library/enumerate_two_simplices`` (the
-eight array fields of the triangle set with their dtypes),
+and ``skipped_hyperedges`` (absent ones read None), and for the two
+``experiment`` ones also the reprs of ``k1_mean`` and ``k2_mean``; and
+five library lines no command writes: ``library/enumerate_two_simplices``
+(the six array fields of the triangle set with their dtypes),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
 ``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
 gamma 2), ``library/mp_solve`` (the six state arrays,
@@ -84,13 +85,16 @@ def digest(outdir: Path) -> list[str]:
             if p.is_file() and p.name != "provenance.json"]
 
 
-def provenance_caps(outdir: Path) -> list[str]:
-    """``size_cap skipped_hyperedges  relpath`` of every provenance.json."""
+def provenance_lines(outdir: Path) -> list[str]:
+    """``size_cap skipped_hyperedges  relpath`` of every provenance.json, then
+    ``k1_mean k2_mean  relpath`` (reprs) of those holding the densities."""
     lines = []
     for p in sorted(outdir.rglob("provenance.json")):
         doc = json.loads(p.read_text())
-        lines.append(f"{doc.get('size_cap')} {doc.get('skipped_hyperedges')}  "
-                     f"{p.relative_to(outdir).as_posix()}")
+        rel = p.relative_to(outdir).as_posix()
+        lines.append(f"{doc.get('size_cap')} {doc.get('skipped_hyperedges')}  {rel}")
+        if "k1_mean" in doc:
+            lines.append(f"{doc['k1_mean']!r} {doc['k2_mean']!r}  {rel} k1_mean k2_mean")
     return lines
 
 
@@ -116,8 +120,7 @@ def library_digest(outdir: Path) -> list[str]:
                      runs=20)
     state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
              st.residual)
-    fields = ("triples", "weights", "pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b",
-              "node_triple_weight")
+    fields = ("pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b", "node_triple_weight")
     tri = [getattr(simplices, name) for name in fields]
     return [f"{md5_of(*tri, *(a.dtype.str for a in tri))}  library/enumerate_two_simplices",
             f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
@@ -132,7 +135,7 @@ def cli() -> None:
     parser.add_argument("outdir", type=Path, help="directory for the command outputs")
     outdir = parser.parse_args().outdir.resolve()
     run_commands(outdir)
-    print("\n".join(digest(outdir) + provenance_caps(outdir) + library_digest(outdir)))
+    print("\n".join(digest(outdir) + provenance_lines(outdir) + library_digest(outdir)))
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .hypergraph import (
     AdjacencyView,
     Hypergraph,
     TwoSimplexSet,
+    _is_count,
     build_adjacency,
     enumerate_two_simplices,
     giant_component,
@@ -51,7 +52,7 @@ from .influence import (
     top_overlap_curve,
 )
 from .message_passing import build_wnb, critical_beta1, leading_eigen
-from .sir import EpidemicParams, _is_count, rescale_params, run_sir
+from .sir import EpidemicParams, rescale_params, run_sir
 
 __all__ = [
     "ExperimentConfig",
@@ -167,18 +168,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         cfg = ExperimentConfig(**data)
         cfg.validate()
         if cfg.generator is not None:
-            _genspec(cfg.generator)
+            GenSpec(**cfg.generator)
     except TypeError as err:
         raise ValueError(f"malformed config: {err}") from None
     return cfg
-
-
-def _genspec(block: dict) -> GenSpec:
-    block = dict(block)
-    for key in ("degree_range", "size_range"):
-        if block.get(key) is not None:
-            block[key] = tuple(block[key])
-    return GenSpec(**block)
 
 
 def _load_raw(cfg: ExperimentConfig) -> Hypergraph:
@@ -187,7 +180,7 @@ def _load_raw(cfg: ExperimentConfig) -> Hypergraph:
     if sum(given) != 1:
         raise ValueError("give exactly one input: generator, dataset, or nverts+simplices")
     if cfg.generator is not None:
-        return generate(_genspec(cfg.generator))
+        return generate(GenSpec(**cfg.generator))
     if cfg.dataset is not None:
         return load_hyperedge_list(cfg.dataset)
     if cfg.nverts is None or cfg.simplices is None:
@@ -200,7 +193,7 @@ class PreparedInput:
     """The working hypergraph and its adjacency view.
 
     The triangle set is enumerated on the first read of ``simplices``,
-    which only ``experiment`` makes; ``densities`` derives from it.
+    which only ``experiment`` makes.
     """
 
     work: Hypergraph
@@ -210,11 +203,6 @@ class PreparedInput:
     @functools.cached_property
     def simplices(self) -> TwoSimplexSet:
         return enumerate_two_simplices(self.work, size_cap=self.size_cap)
-
-    @functools.cached_property
-    def densities(self) -> tuple[float, float]:
-        """(k1, k2), as :func:`simplex_densities` gives them."""
-        return simplex_densities(self.view, self.simplices)
 
     def triangle_provenance(self) -> dict:
         """The cap and the count of hyperedges it leaves out of the triangle set."""
@@ -275,7 +263,7 @@ def _cell_rates(mode1, v1, mode2, v2, k1, k2, gamma):
 def cmd_generate(cfg: ExperimentConfig) -> int:
     if cfg.generator is None:
         raise ValueError("generate needs a generator block")
-    spec = _genspec(cfg.generator)
+    spec = GenSpec(**cfg.generator)
     h = generate(spec)
     outdir = _outdir(cfg)
     name = cfg.name or f"{spec.family}_n{spec.num_nodes}_m{spec.num_hyperedges}_s{spec.rng_seed}"
@@ -308,8 +296,10 @@ def _experiment_cells(cfg: ExperimentConfig, inp: PreparedInput):
     return list(itertools.product(grid1, grid2, ks))
 
 
-def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, seed_sets: dict):
-    """All methods of one parameter cell; any failure aborts the cell."""
+def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: int, cell,
+              seed_sets: dict):
+    """All methods of one parameter cell, at rates rescaled by ``densities``
+    (k1, k2); any failure aborts the cell."""
     (mode1, v1), (mode2, v2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
     sim_seed, sel_seed = (int(x) for x in ss.generate_state(2))
@@ -324,7 +314,7 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
     rows, details = [], []
     method = "-"
     try:
-        b1, b2 = _cell_rates(mode1, v1, mode2, v2, *inp.densities, cfg.gamma)
+        b1, b2 = _cell_rates(mode1, v1, mode2, v2, *densities, cfg.gamma)
         for method in cfg.methods:
             # only random reads sel_seed; the other methods select once per k
             key = (method, k, sel_seed if method == "random" else None)
@@ -350,13 +340,15 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, cell_idx: int, cell, se
 
 def cmd_experiment(cfg: ExperimentConfig) -> int:
     inp = prepare_input(cfg)
-    k1, k2 = inp.densities  # enumerates the triangles here, before the cells share inp
+    k1, k2 = simplex_densities(inp.work, inp.size_cap)
+    # enumerate here, once: the cells share inp, and a failure exits before any cell runs
+    inp.simplices  # noqa: B018
     cells = _experiment_cells(cfg, inp)
     outdir = _outdir(cfg)
     seed_sets: dict = {}  # shared by this call's cells; racing workers may both fill a key
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = list(pool.map(
-            lambda item: _run_cell(cfg, inp, item[0], item[1], seed_sets),
+            lambda item: _run_cell(cfg, inp, (k1, k2), item[0], item[1], seed_sets),
             enumerate(cells)))
 
     rows = [row for cell_rows, _ in results for row in cell_rows]

@@ -18,7 +18,6 @@ from .hypergraph import (
     DEFAULT_TRIPLE_EDGE_CAP,
     Hypergraph,
     build_adjacency,
-    enumerate_two_simplices,
     giant_component,
     oversized_hyperedges,
     simplex_densities,
@@ -198,7 +197,9 @@ def dataset_stats(
     ``dedup`` collapses repeated hyperedges first; source multiplicity
     is kept by default.  Means are averages over giant-component nodes:
     distinct-neighbor count, incident-hyperedge count, weighted pair
-    degree, and total triangle weight.
+    degree, and total triangle weight; the last two come from the
+    hyperedge sizes (:func:`simplex_densities`), so no triangle is
+    enumerated.
     """
     work = Hypergraph(h.num_nodes, dict.fromkeys(h.hyperedges), h.node_labels) if dedup else h
     gcc, _ = giant_component(work)
@@ -206,7 +207,7 @@ def dataset_stats(
         return DatasetStats(work.num_nodes, work.num_hyperedges, 0,
                             0.0, 0.0, 0.0, 0.0, 0, dedup)
     view = build_adjacency(gcc)
-    k1, k2 = simplex_densities(view, enumerate_two_simplices(gcc, size_cap=size_cap))
+    k1, k2 = simplex_densities(gcc, size_cap)
     return DatasetStats(
         n=work.num_nodes,
         m=work.num_hyperedges,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _is_count
 
 __all__ = ["GenSpec", "generate", "gen_sf_chunglu", "gen_er_bipartite", "gen_d_uniform"]
 
@@ -28,15 +28,16 @@ D_UNIFORM = "d_uniform"
 class GenSpec:
     """Parameters for one synthetic hypergraph draw.
 
-    family selects the model; unused fields are ignored.  For the
-    scale-free family, degree_range / size_range bound the power-law
-    supports; a None upper bound means the structural cutoff
-    ceil(sqrt(N*M)), which keeps Chung-Lu membership probabilities <= 1.
+    family selects the model and the fields it reads; every count and
+    range bound is an integer in any family.  For the scale-free family,
+    degree_range / size_range bound the power-law supports; a None upper
+    bound means the structural cutoff ceil(sqrt(N*M)), which keeps
+    Chung-Lu membership probabilities <= 1.
     """
 
     family: str
     num_nodes: int
-    num_hyperedges: int = 0
+    num_hyperedges: int
     exponent: float = 2.0          # scale-free: p(d) ~ d^-exponent
     membership_p: float = 0.0      # ER: P(node in hyperedge)
     uniform_size: int = 3          # d-uniform hyperedge size
@@ -47,13 +48,22 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in (SCALE_FREE, ERDOS_RENYI, D_UNIFORM):
             raise ValueError(f"unknown family: {self.family!r}")
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-        if self.family == SCALE_FREE and self.exponent <= 1.0:
+        for key, low in (("num_nodes", 1), ("num_hyperedges", 1), ("uniform_size", 2),
+                         ("rng_seed", 0)):
+            val = getattr(self, key)
+            if not _is_count(val, low):
+                raise ValueError(f"{key} must be an integer >= {low}, got {val!r}")
+        for key in ("degree_range", "size_range"):
+            bounds = getattr(self, key)
+            if not (len(bounds) == 2 and _is_count(bounds[0], 1)
+                    and (bounds[1] is None or _is_count(bounds[1], bounds[0]))):
+                raise ValueError(f"{key} must be two integers 1 <= low <= high (high may be "
+                                 f"None), got {bounds!r}")
+        if self.family == SCALE_FREE and not self.exponent > 1.0:  # also refuses NaN
             raise ValueError("power-law exponent must be > 1")
         if self.family == ERDOS_RENYI and not 0.0 <= self.membership_p <= 1.0:
             raise ValueError("membership_p must lie in [0, 1]")
-        if self.family == D_UNIFORM and not 2 <= self.uniform_size <= self.num_nodes:
+        if self.family == D_UNIFORM and self.uniform_size > self.num_nodes:
             raise ValueError("uniform_size must lie in [2, num_nodes]")
 
 
@@ -75,10 +85,6 @@ def _power_law_sample(rng: np.random.Generator, exponent: float,
     return rng.choice(np.arange(low, high + 1), size=size, p=pmf)
 
 
-def _structural_cutoff(n: int, m: int) -> int:
-    return max(1, math.ceil(math.sqrt(n * m)))
-
-
 def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
     """Scale-free hypergraph via bipartite Chung-Lu stub matching.
 
@@ -90,16 +96,14 @@ def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
     than 2 members are dropped (they carry no interaction).
     """
     n, m = spec.num_nodes, spec.num_hyperedges
-    if m < 1:
-        raise ValueError("scale-free family needs num_hyperedges >= 1")
     rng = np.random.default_rng(spec.rng_seed)
-    cutoff = _structural_cutoff(n, m)
+    cutoff = max(1, math.ceil(math.sqrt(n * m)))  # the structural cutoff
     d_lo, d_hi = spec.degree_range
     s_lo, s_hi = spec.size_range
     d_hi = cutoff if d_hi is None else d_hi
     s_hi = cutoff if s_hi is None else s_hi
-    if not (1 <= d_lo <= d_hi) or not (1 <= s_lo <= s_hi):
-        raise ValueError("degenerate power-law support")
+    if d_lo > d_hi or s_lo > s_hi:
+        raise ValueError(f"degenerate power-law support: a low bound above the cutoff {cutoff}")
 
     degree_target = _power_law_sample(rng, spec.exponent, d_lo, d_hi, n).astype(np.float64)
     size_target = _power_law_sample(rng, spec.exponent, s_lo, s_hi, m).astype(np.float64)
@@ -144,8 +148,6 @@ def gen_er_bipartite(spec: GenSpec) -> Hypergraph:
     field.  Empty hyperedges are dropped.
     """
     n, m = spec.num_nodes, spec.num_hyperedges
-    if m < 1:
-        raise ValueError("ER family needs num_hyperedges >= 1")
     rng = np.random.default_rng(spec.rng_seed)
     p = spec.membership_p
     counts = rng.binomial(n, p, size=m)
@@ -155,8 +157,6 @@ def gen_er_bipartite(spec: GenSpec) -> Hypergraph:
 def gen_d_uniform(spec: GenSpec) -> Hypergraph:
     """M distinct uniformly random d-subsets of the node set."""
     n, m, d = spec.num_nodes, spec.num_hyperedges, spec.uniform_size
-    if m < 1:
-        raise ValueError("d-uniform family needs num_hyperedges >= 1")
     if m > math.comb(n, d):
         raise ValueError(f"cannot draw {m} distinct size-{d} subsets of {n} nodes")
     rng = np.random.default_rng(spec.rng_seed)

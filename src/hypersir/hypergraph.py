@@ -14,6 +14,7 @@ of the weighted adjacency and of the triangle tensor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, pairwise
 from typing import Iterable, Sequence
@@ -39,11 +40,22 @@ __all__ = [
 DEFAULT_TRIPLE_EDGE_CAP = 25
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether value is an integer (not a bool) of at least low."""
+    return _is_integer(value) and value >= low
+
+
 @dataclass(eq=False, init=False)
 class Hypergraph:
     """Node set plus hyperedge multiset, stored as a CSR incidence.
 
-    Node ids are dense integers in [0, num_nodes).  Hyperedge ``a`` is
+    Node ids are dense integers in [0, num_nodes); a node count or id
+    that is not an integer is refused, never truncated.  Hyperedge ``a`` is
     ``members[edge_ptr[a]:edge_ptr[a + 1]]``, sorted; the multiset order
     is preserved as given.  ``node_labels[i]``, when present, names node i.
     """
@@ -57,25 +69,29 @@ class Hypergraph:
                  node_labels: Sequence | None = None):
         edges = list(hyperedges)
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-        self._store(num_nodes, sizes, np.fromiter(chain.from_iterable(edges), dtype=np.int64),
-                    node_labels)
+        self._store(num_nodes, sizes, np.array(list(chain.from_iterable(edges))), node_labels)
 
     @classmethod
     def from_arrays(cls, num_nodes: int, sizes, members, node_labels: Sequence | None = None):
         """Hypergraph whose hyperedge ``a`` is the next ``sizes[a]`` entries of ``members``."""
         h = cls.__new__(cls)
-        h._store(num_nodes, np.asarray(sizes, dtype=np.int64),
-                 np.asarray(members, dtype=np.int64), node_labels)
+        h._store(num_nodes, np.asarray(sizes, dtype=np.int64), np.asarray(members), node_labels)
         return h
 
     def _store(self, num_nodes, sizes, members, node_labels) -> None:
-        if num_nodes < 0:
-            raise ValueError("num_nodes must be nonnegative")
+        if not _is_count(num_nodes, 0):
+            raise ValueError(f"num_nodes must be an integer >= 0, got {num_nodes!r}")
         if (sizes < 0).any() or sizes.sum() != len(members):
             raise ValueError("hyperedge sizes must be nonnegative and sum to the member count")
         if node_labels is not None and len(node_labels) != num_nodes:
             raise ValueError(f"{len(node_labels)} node labels for {num_nodes} nodes")
         edge_of = np.repeat(np.arange(len(sizes)), sizes)
+        if members.dtype.kind not in "iu" and len(members):
+            odd = (members != np.trunc(members) if members.dtype.kind == "f"
+                   else np.ones(len(members), dtype=bool))
+            raise ValueError(f"hyperedge {edge_of[odd.argmax()]} has a non-integer node id"
+                             if odd.any() else f"node ids must be integers, not {members.dtype}")
+        members = members.astype(np.int64, copy=False)
         members = members[np.lexsort((members, edge_of))]
         texts = ("is empty", f"has node id outside [0, {num_nodes})", "contains a duplicate node id")
         bad = np.zeros((len(texts), len(sizes)), dtype=bool)  # per hyperedge, test by test
@@ -158,18 +174,17 @@ def build_adjacency(h: Hypergraph) -> AdjacencyView:
 
 @dataclass
 class TwoSimplexSet:
-    """All 2-simplices (node triples) of a hypergraph with multiplicities.
+    """The 2-simplices (node triples) of a hypergraph, as the SIR kernel and
+    message passing read them.
 
-    A triple (i, k, l), i < k < l, is present iff at least one hyperedge
-    contains all three nodes; its weight counts such hyperedges.  The
-    expanded rows hold the same triples once per member node, the center,
-    grouped by the sorted distinct pairs ``pair_a/pair_b`` of the other
-    two members: (pair_weight, pair_center, pair_ptr) is the CSC form of
-    the N x P center-by-pair weight matrix.
+    A triple is present iff at least one hyperedge contains all three
+    nodes; its weight counts such hyperedges.  Each triple is held once
+    per member node, the center, grouped by the sorted distinct pairs
+    ``pair_a/pair_b`` of the other two members: (pair_weight,
+    pair_center, pair_ptr) is the CSC form of the N x P center-by-pair
+    weight matrix, with 3 rows per triple.
     """
 
-    triples: np.ndarray          # (T, 3) int64, rows sorted
-    weights: np.ndarray          # (T,) int64
     pair_weight: np.ndarray      # (3T,) triple weight per expanded row, grouped by pair
     pair_center: np.ndarray      # (3T,) center per row, by pair, ascending; int32 if it fits
     pair_ptr: np.ndarray         # (P+1,) CSC pointer by pair, of pair_center's dtype
@@ -179,7 +194,7 @@ class TwoSimplexSet:
 
     @property
     def num_triples(self) -> int:
-        return len(self.weights)
+        return len(self.pair_center) // 3
 
 
 def oversized_hyperedges(h: Hypergraph, size_cap: int) -> np.ndarray:
@@ -234,8 +249,6 @@ def enumerate_two_simplices(
     index = np.int32 if max(h.num_nodes, len(keys)) <= np.iinfo(np.int32).max else np.int64
 
     return TwoSimplexSet(
-        triples=triples,
-        weights=weights,
         pair_weight=np.tile(weights, 3).take(order),
         pair_center=triples.T.ravel().take(order).astype(index),
         pair_ptr=np.append(heads, len(keys)).astype(index),
@@ -320,13 +333,18 @@ def giant_component(h: Hypergraph) -> tuple[Hypergraph, np.ndarray]:
     return Hypergraph.from_arrays(n_keep, sizes[sizes > 0], remap[h.members[kept]], names), remap
 
 
-def simplex_densities(view: AdjacencyView, simplices: TwoSimplexSet) -> tuple[float, float]:
-    """Mean weighted 1-simplex and 2-simplex counts per node.
-
-    The 1-simplex density is the mean weighted degree (sum of shared-
-    hyperedge counts over neighbors); the 2-simplex density is the mean
-    total weight of triangles containing a node.
-    """
-    if view.num_nodes == 0:
+def simplex_densities(h: Hypergraph,
+                      size_cap: int = DEFAULT_TRIPLE_EDGE_CAP) -> tuple[float, float]:
+    """Mean 1-simplex and 2-simplex degrees per node, <k1> and <k2>, from
+    the hyperedge sizes s: N<k1> = sum s(s-1), and N<k2> = 3 sum C(s,3)
+    over the hyperedges not :func:`oversized_hyperedges`.  These are the
+    means of ``build_adjacency(h).weighted_degree`` and of
+    ``enumerate_two_simplices(h, size_cap).node_triple_weight``, bit for
+    bit, without building either."""
+    if h.num_nodes == 0:
         return 0.0, 0.0
-    return float(view.weighted_degree.mean()), float(simplices.node_triple_weight.mean())
+    sizes = np.diff(h.edge_ptr)
+    kept = sizes[~oversized_hyperedges(h, size_cap)]
+    k1 = int((sizes * (sizes - 1)).sum())
+    k2 = int((kept * (kept - 1) * (kept - 2)).sum()) // 2
+    return k1 / h.num_nodes, k2 / h.num_nodes

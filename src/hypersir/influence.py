@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import AdjacencyView
+from .hypergraph import AdjacencyView, _is_count
+from .message_passing import _check_rates
 
 __all__ = [
     "collective_influence",
@@ -38,12 +39,9 @@ def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> np.
     A_ij * (sum over k in N(j) of A_ik) * (d_N(j) - 1).
     The accumulation is exact integer arithmetic; the infection-rate
     prefactor multiplies once at the end, so rankings are independent of
-    beta1 and gamma.
+    beta1 and gamma, which are checked as :func:`build_wnb` checks them.
     """
-    if beta1 < 0:
-        raise ValueError("beta1 must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_rates(beta1, gamma)
     weighted = view.weighted
     # z[i, j] = weighted links from i into the neighborhood of j;
     # restricting to the pattern of A keeps only actual neighbors j.
@@ -64,8 +62,8 @@ def ranked_nodes(view: AdjacencyView, scores: np.ndarray) -> np.ndarray:
 
 
 def _check_k(view: AdjacencyView, k: int) -> None:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not _is_count(k, 0):
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     if k > view.num_nodes:
         raise ValueError(f"k={k} exceeds the {view.num_nodes} available nodes")
 

@@ -342,16 +342,16 @@ class WnbOperator:
                 fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_rates(beta1: float, gamma: float) -> None:
+    if not beta1 >= 0:  # also refuses NaN, as the gamma test does
+        raise ValueError("beta1 must be nonnegative")
     if not gamma >= 1:
         raise ValueError("gamma must be at least 1")
 
 
 def build_wnb(view: AdjacencyView, beta1: float, gamma: float) -> WnbOperator:
     """The non-backtracking operator over the directed links of ``view``."""
-    if not beta1 >= 0:
-        raise ValueError("beta1 must be nonnegative")
-    _check_gamma(gamma)
+    _check_rates(beta1, gamma)
     return WnbOperator(beta1=beta1, gamma=gamma, links=build_link_index(view))
 
 
@@ -443,7 +443,7 @@ def critical_beta1(view: AdjacencyView, gamma: float = 1) -> float:
     Graphs without a non-backtracking cycle have radius 0 and no finite
     threshold; the result is then infinite.
     """
-    _check_gamma(gamma)
+    _check_rates(1.0, gamma)  # the operator below is built at unit beta1
     rho = leading_eigen(build_wnb(view, beta1=1.0, gamma=1.0)).lambda_c
     if rho <= 0.0:
         return math.inf

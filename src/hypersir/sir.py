@@ -16,7 +16,7 @@ and the block's uniforms.  Ended runs leave the state; ``step`` runs it on one r
 
 from __future__ import annotations
 
-import numbers
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import count
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_io import write_csv
-from .hypergraph import AdjacencyView, TwoSimplexSet
+from .hypergraph import AdjacencyView, TwoSimplexSet, _is_count, _is_integer
 
 __all__ = [
     "EpidemicParams",
@@ -76,16 +76,6 @@ class EpidemicParams:
             raise ValueError(f"t_max must be None or an integer >= 0, got {self.t_max!r}")
         if not _is_count(self.rng_seed, 0):
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-
-
-def _is_integer(value) -> bool:
-    """Whether value is an integer and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_count(value, low: int) -> bool:
-    """Whether value is an integer (not a bool) of at least low."""
-    return _is_integer(value) and value >= low
 
 
 @dataclass
@@ -285,24 +275,24 @@ def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
 
     beta1 = lambda1 * mu / k1 and beta2 = lambda2 * mu / k2 with
     mu = 1/gamma, where k1 is the mean weighted degree and k2 the mean
-    per-node triangle weight.  Values above 1 are clamped with a warning.
+    per-node triangle weight.  gamma is an integer >= 1, as in
+    :class:`EpidemicParams`; a NaN k, or a k <= 0 under a positive
+    lambda, is refused.  Values above 1 are clamped with a warning.
     """
-    mu = 1.0 / gamma
+    if not _is_count(gamma, 1):
+        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
     if not (lambda1 >= 0.0 and lambda2 >= 0.0):  # also catches NaN
         raise ValueError(f"lambda1 and lambda2 must be nonnegative, got {lambda1}, {lambda2}")
-    if lambda1 > 0.0 and k1 <= 0.0:
-        raise ValueError("k1 must be positive when lambda1 > 0")
-    if lambda2 > 0.0 and k2 <= 0.0:
-        raise ValueError("no triangles to carry lambda2 > 0")
-    beta1 = lambda1 * mu / k1 if lambda1 > 0.0 else 0.0
-    beta2 = lambda2 * mu / k2 if lambda2 > 0.0 else 0.0
-    if beta1 > 1.0:
-        warnings.warn(f"beta1 = {beta1:.4g} clamped to 1")
-        beta1 = 1.0
-    if beta2 > 1.0:
-        warnings.warn(f"beta2 = {beta2:.4g} clamped to 1")
-        beta2 = 1.0
-    return beta1, beta2
+    mu, betas = 1.0 / gamma, []
+    for c, lam, k, fault in ((1, lambda1, k1, "k1 must be positive when lambda1 > 0"),
+                             (2, lambda2, k2, "no triangles to carry lambda2 > 0")):
+        if math.isnan(k) or (lam > 0.0 and not k > 0.0):
+            raise ValueError(f"k{c} must not be NaN" if math.isnan(k) else fault)
+        beta = lam * mu / k if lam > 0.0 else 0.0
+        if beta > 1.0:
+            warnings.warn(f"beta{c} = {beta:.4g} clamped to 1")
+        betas.append(min(beta, 1.0))
+    return betas[0], betas[1]
 
 
 def classify_bistable(stats: OutbreakStats) -> tuple[float, float]:

@@ -8,6 +8,7 @@ check rather than a tautology.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, sqrt
@@ -20,9 +21,14 @@ from scipy.sparse.csgraph import connected_components
 def normalize_hyperedges(num_nodes, hyperedges):
     """Sorted member tuples, validated edge by edge in input order.
 
-    Raises ValueError naming the first bad hyperedge and, within it, the
-    first failed test: empty, node id out of range, repeated node id.
+    Raises ValueError naming the first hyperedge that holds a node id
+    which is not an integer (a bool is none), before any other fault;
+    else the first bad hyperedge and, within it, the first failed test:
+    empty, node id out of range, repeated node id.
     """
+    for pos, edge in enumerate(hyperedges):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in edge):
+            raise ValueError(f"hyperedge {pos} has a non-integer node id")
     normalized = []
     for pos, edge in enumerate(hyperedges):
         members = tuple(sorted(int(v) for v in edge))
@@ -113,8 +119,6 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
         if 3 <= len(e) <= size_cap:
             for t in combinations(e, 3):
                 counts[t] = counts.get(t, 0) + 1
-    triples = np.array(sorted(counts), dtype=np.int64).reshape(-1, 3)
-    weights = np.array([counts[tuple(t)] for t in triples.tolist()], dtype=np.int64)
     node_triple_weight = np.zeros(num_nodes, dtype=np.int64)
     rows = []  # (pair, center, weight), one per triple member
     for t, w in counts.items():
@@ -125,8 +129,6 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
     rows_per_pair = Counter(pair for pair, _, _ in rows)
     pairs = sorted(rows_per_pair)
     return {
-        "triples": triples,
-        "weights": weights,
         "pair_weight": np.array([w for _, _, w in rows], dtype=np.int64),
         "pair_center": np.array([c for _, c, _ in rows], dtype=np.int32),
         "pair_ptr": np.cumsum([0] + [rows_per_pair[p] for p in pairs]).astype(np.int32),
@@ -134,6 +136,24 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
         "pair_b": np.array([b for _, b in pairs], dtype=np.int64),
         "node_triple_weight": node_triple_weight,
     }
+
+
+def triples_of(simplices):
+    """{sorted triple: weight} decoded from the pair-major rows of a
+    two-simplex set, in ascending triple order.
+
+    Asserts that every triple has exactly three rows, one per member as
+    the center, and that the three carry the same weight.
+    """
+    rows = defaultdict(list)
+    ptr, centers, weights = (simplices.pair_ptr.tolist(), simplices.pair_center.tolist(),
+                             simplices.pair_weight.tolist())
+    for p, (a, b) in enumerate(zip(simplices.pair_a.tolist(), simplices.pair_b.tolist())):
+        for c, w in zip(centers[ptr[p]:ptr[p + 1]], weights[ptr[p]:ptr[p + 1]]):
+            rows[tuple(sorted((a, b, c)))].append(w)
+    for t, ws in rows.items():
+        assert len(set(t)) == 3 and len(ws) == 3 and len(set(ws)) == 1, (t, ws)
+    return {t: rows[t][0] for t in sorted(rows)}
 
 
 def exact_sigma_distribution(num_nodes, hyperedges, seeds, beta1, beta2,
@@ -279,7 +299,8 @@ def reference_advance(status, age, view, simplices, beta1, beta2, gamma, rng):
     pressure, a scatter of the expanded triangle rows whose other two
     members are both infected for the triangle pressure, and the power
     form (1 - beta)^pressure.  The rows are expanded here from the
-    triples and their weights, one per member as the center.  It draws
+    triples and weights of :func:`triples_of`, one per member as the
+    center.  It draws
     one (R, N) block of uniforms per step, so the package kernel, which
     reads the same block, must match it bit for bit.
     """
@@ -287,11 +308,12 @@ def reference_advance(status, age, view, simplices, beta1, beta2, gamma, rng):
     infected = status == 1
     escape = (1.0 - beta1) ** (infected.astype(np.float64) @ view.weighted)
     if beta2 > 0.0 and simplices is not None and simplices.num_triples:
-        t = simplices.triples
+        tw = triples_of(simplices)
+        t = np.array(list(tw), dtype=np.int64)
         centers, other_a, other_b = (np.concatenate(t[:, cols].T) for cols in
                                      ([0, 1, 2], [1, 0, 0], [2, 2, 1]))
         row, k = np.nonzero(infected[:, other_a] & infected[:, other_b])
-        tri = np.bincount(row * n + centers[k], weights=np.tile(simplices.weights, 3)[k],
+        tri = np.bincount(row * n + centers[k], weights=np.tile(list(tw.values()), 3)[k],
                           minlength=runs * n)
         escape *= (1.0 - beta2) ** tri.reshape(runs, n)
     newly = (status == 0) & (rng.random((runs, n)) < 1.0 - escape)
@@ -377,7 +399,7 @@ def leave_one_out_escape(view, simplices, i_msg, beta1, beta2):
     ``view.weighted``; ``i_msg`` is indexed in that order.  The product
     for link (i -> j) runs over in-links (k -> i), k != j, of
     (1 - beta1 I_ki)^A_ki and over the triangles {i, m, l} of
-    ``simplices.triples`` with j not in {m, l}, of
+    ``triples_of(simplices)`` with j not in {m, l}, of
     (1 - beta2 I_mi I_li)^w; the full product of node i drops no factor.
     Returns (cav, full, cav_zero, full_zero), the last two flagging
     products that hold a factor equal to exactly 0.
@@ -390,7 +412,7 @@ def leave_one_out_escape(view, simplices, i_msg, beta1, beta2):
     for k, i in pairs:
         in_nbrs[i].append(k)
     tris = defaultdict(list)
-    for (a, b, c), tw in zip(simplices.triples.tolist(), simplices.weights.tolist()):
+    for (a, b, c), tw in triples_of(simplices).items():
         for i, m, l in ((a, b, c), (b, a, c), (c, a, b)):
             tris[i].append((m, l, tw))
 

@@ -218,7 +218,7 @@ def test_criterion_05_bistable_absorbing_fraction_and_gap():
     g, _ = hs.giant_component(hs.generate(spec))
     v = hs.build_adjacency(g)
     ts = hs.enumerate_two_simplices(g)
-    k1, k2 = hs.simplex_densities(v, ts)
+    k1, k2 = hs.simplex_densities(g)
     b1, b2 = hs.rescale_params(1.0, 2.5, k1, k2, gamma=1)
     gcc = g.num_nodes
     runs = 300

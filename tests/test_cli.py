@@ -294,20 +294,33 @@ def test_cli_error_exit_codes(tmp_path):
     {"mean_degree": -3.5},
     {"methods": ["cia", "degree", "cia"]},
     {"sizes": [60, 60]},
+    {"generator": {"family": "erdos_renyi", "num_nodes": 50, "membership_p": 0.1,
+                   "num_hyperedges": 2.5}},
+    {"generator": {"family": "d_uniform", "num_nodes": 50, "num_hyperedges": 2.5}},
+    {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60,
+                   "rng_seed": 1.5}},
+    {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60,
+                   "degree_range": [2.5, 4]}},
+    {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60,
+                   "exponent": float("nan")}},
 ], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
         "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
         "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
-        "negative_mean_degree", "repeated_methods", "repeated_sizes"])
+        "negative_mean_degree", "repeated_methods", "repeated_sizes", "er_float_hyperedges",
+        "uniform_float_hyperedges", "float_gen_seed", "float_degree_range", "nan_exponent"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
-    # malformed value can make the run exit 2; the error names it
+    # malformed value can make the run exit 2; the error names it (the
+    # last key of a generator block), and generate refuses it alike
     base = {"dataset": str(triangle_file(tmp_path)), "beta1": [0.5], "k_absolute": [1],
             "runs": 2, "output_dir": str(tmp_path / "out")}
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(doc if "generator" in doc else {**base, **doc}))
-    assert main(["experiment", "--config", str(cfgp)]) == 2
-    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert err and ("bogus" if "generator" in doc else list(doc)[-1]) in err[0]
+    for cmd in ("experiment", "generate") if "generator" in doc else ("experiment",):
+        assert main([cmd, "--config", str(cfgp), "--output-dir", str(tmp_path / "gen")]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert err and list(doc.get("generator", doc))[-1] in err[0], cmd
+    assert not (tmp_path / "gen").exists()
 
 
 def test_rates_above_one_fail_per_cell_but_not_in_spectrum(tmp_path):
@@ -536,12 +549,18 @@ def test_only_experiment_enumerates_triangles(tmp_path, monkeypatch):
         raise AssertionError("triangle set enumerated")
 
     monkeypatch.setattr(cli, "enumerate_two_simplices", refuse)
+    monkeypatch.setattr(hs.TwoSimplexSet, "__init__", refuse)  # whatever name builds one
     for cmd, extra in (("spectrum", []), ("fig3", ["--n-grid", "50"])):
         out = tmp_path / cmd
         assert main([cmd, "--dataset", str(p), "--size-cap", "4",
                      "--output-dir", str(out), *extra]) == 0
         prov = json.loads((out / "provenance.json").read_text())
         assert (prov["size_cap"], prov["skipped_hyperedges"]) == (4, 1), cmd
+    # stats reads k2 off the hyperedge sizes: one kept triangle, 3 rows over 6 nodes
+    assert main(["stats", "--dataset", str(p), "--size-cap", "4",
+                 "--output-dir", str(tmp_path / "stats")]) == 0
+    stats = json.loads((tmp_path / "stats" / "stats.json").read_text())["retained"]
+    assert (stats["k2_mean"], stats["skipped_large_hyperedges"]) == (0.5, 1)
     assert main(["bench", "--sizes", "60", "120", "--methods", "degree", "--k-percent", "5",
                  "--bench-repeats", "1", "--output-dir", str(tmp_path / "bench")]) == 0
 

@@ -26,6 +26,33 @@ def test_genspec_validation():
         hs.GenSpec("d_uniform", 10, 5, uniform_size=11)
 
 
+@pytest.mark.parametrize("family, kw, match", [
+    ("erdos_renyi", {"num_hyperedges": 2.5}, "num_hyperedges must be an integer >= 1"),
+    ("d_uniform", {"num_hyperedges": 2.5}, "num_hyperedges must be an integer >= 1"),
+    ("scale_free", {"num_hyperedges": 0}, "num_hyperedges must be an integer >= 1"),
+    ("d_uniform", {"num_hyperedges": True}, "num_hyperedges must be an integer >= 1"),
+    ("scale_free", {"num_nodes": 10.0}, "num_nodes must be an integer >= 1"),
+    ("scale_free", {"num_nodes": 0}, "num_nodes must be an integer >= 1"),
+    ("scale_free", {"rng_seed": 1.5}, "rng_seed must be an integer >= 0"),
+    ("scale_free", {"rng_seed": -1}, "rng_seed must be an integer >= 0"),
+    ("d_uniform", {"uniform_size": 3.0}, "uniform_size must be an integer >= 2"),
+    ("scale_free", {"degree_range": (2.5, 4)}, "degree_range must be two integers"),
+    ("scale_free", {"degree_range": (0, 4)}, "degree_range must be two integers"),
+    ("scale_free", {"size_range": (3, 2)}, "size_range must be two integers"),
+    ("scale_free", {"size_range": (2, 4.0)}, "size_range must be two integers"),
+    ("scale_free", {"size_range": (2, 4, 6)}, "size_range must be two integers"),
+    ("scale_free", {"exponent": float("nan")}, "exponent must be > 1"),
+    ("erdos_renyi", {"membership_p": float("nan")}, "membership_p must lie in"),
+], ids=["er_float_m", "uniform_float_m", "zero_m", "bool_m", "float_n", "zero_n",
+        "float_seed", "negative_seed", "float_uniform_size", "float_degree_low",
+        "zero_degree_low", "size_range_reversed", "float_size_high", "three_bounds",
+        "nan_exponent", "nan_membership_p"])
+def test_genspec_refuses_malformed_fields(family, kw, match):
+    fields = {"num_nodes": 10, "num_hyperedges": 5, **kw}
+    with pytest.raises(ValueError, match=match):
+        hs.GenSpec(family, **fields)
+
+
 def test_determinism_all_families():
     specs = [
         hs.GenSpec("scale_free", 300, 300, exponent=2.2, rng_seed=5),

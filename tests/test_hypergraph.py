@@ -56,6 +56,10 @@ def test_duplicate_hyperedges_are_kept():
     [(0, 1), (2, 2, 5), ()],   # out of range and repeated: range is tested first
     [(0, 0), (5,), ()],        # the first bad hyperedge is named, whatever its fault
     [(2, 1, 0), (0,), (1, 2), (2, 2)],
+    [(0, 1.5)],                         # a non-integer id is refused, not truncated
+    [(0, 1), (), (2, 0.5)],             # and named before any other fault
+    [(0, 1), (1, float("nan"))],
+    [(True, False)],
 ])
 def test_invalid_hyperedge_names_same_position_as_per_edge_oracle(edges):
     with pytest.raises(ValueError) as want:
@@ -67,6 +71,24 @@ def test_invalid_hyperedge_names_same_position_as_per_edge_oracle(edges):
     with pytest.raises(ValueError) as got:
         hs.Hypergraph.from_arrays(3, [len(e) for e in edges], flat)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("num_nodes", [3.7, 3.0, True, -1, "3", None])
+def test_non_integer_node_count_refused(num_nodes):
+    for make in (lambda: hs.Hypergraph(num_nodes, [[0]]),
+                 lambda: hs.Hypergraph.from_arrays(num_nodes, [1], [0])):
+        with pytest.raises(ValueError, match="num_nodes must be an integer >= 0"):
+            make()
+
+
+def test_whole_float_ids_refused_by_dtype():
+    # 2.0 cannot be told from 2 once the ids share one float array
+    with pytest.raises(ValueError, match="node ids must be integers, not float64"):
+        hs.Hypergraph(3, [(0, 1), (2.0,)])
+    with pytest.raises(ValueError, match="node ids must be integers, not float64"):
+        hs.Hypergraph.from_arrays(3, [2], np.array([0.0, 1.0]))
+    h = hs.Hypergraph.from_arrays(np.int64(3), [2], np.array([0, 2], dtype=np.uint8))
+    assert h.num_nodes == 3 and h.members.tolist() == [0, 2]
 
 
 def test_array_core_matches_per_edge_oracle():
@@ -131,7 +153,8 @@ def test_edgeless_hypergraph_adjacency():
     v = hs.build_adjacency(h)
     assert v.weighted.nnz == 0
     assert np.array_equal(v.node_degree, np.zeros(4, dtype=np.int64))
-    assert hs.simplex_densities(v, hs.enumerate_two_simplices(h)) == (0.0, 0.0)
+    assert hs.simplex_densities(h) == (0.0, 0.0)
+    assert hs.simplex_densities(hs.Hypergraph(0)) == (0.0, 0.0)
 
 
 def test_adjacency_equals_incidence_identity_and_oracle():
@@ -169,14 +192,13 @@ def test_incidence_double_count():
 
 def test_single_edge_single_triple():
     ts = hs.enumerate_two_simplices(hs.Hypergraph(3, [(0, 1, 2)]))
-    assert ts.triples.tolist() == [[0, 1, 2]]
-    assert ts.weights.tolist() == [1]
+    assert oracles.triples_of(ts) == {(0, 1, 2): 1}
+    assert ts.num_triples == 1
 
 
 def test_duplicate_edge_doubles_triple_weight():
     ts = hs.enumerate_two_simplices(hs.Hypergraph(3, [(0, 1, 2), (0, 1, 2)]))
-    assert ts.triples.tolist() == [[0, 1, 2]]
-    assert ts.weights.tolist() == [2]
+    assert oracles.triples_of(ts) == {(0, 1, 2): 2}
 
 
 def test_pairwise_edges_make_no_triple():
@@ -191,8 +213,7 @@ def test_triples_match_brute_force_scan():
         n = int(rng.integers(3, 25))
         h = random_hypergraph(rng, n, int(rng.integers(1, 10)), 7)
         ts = hs.enumerate_two_simplices(h)
-        got = {tuple(t): int(w) for t, w in zip(ts.triples.tolist(), ts.weights.tolist())}
-        assert got == oracles.brute_triples_by_scan(n, h.hyperedges)
+        assert oracles.triples_of(ts) == oracles.brute_triples_by_scan(n, h.hyperedges)
 
 
 def test_size_cap_skips_and_reports():
@@ -200,7 +221,7 @@ def test_size_cap_skips_and_reports():
     h = hs.Hypergraph(30, [big, (0, 1, 2)])
     ts = hs.enumerate_two_simplices(h, size_cap=25)
     assert hs.oversized_hyperedges(h, 25).tolist() == [True, False]
-    assert ts.triples.tolist() == [[0, 1, 2]]
+    assert oracles.triples_of(ts) == {(0, 1, 2): 1}
     # capped edge still contributes to the pairwise channel
     v = hs.build_adjacency(h)
     assert v.weighted[28, 29] == 1
@@ -208,7 +229,7 @@ def test_size_cap_skips_and_reports():
     assert not hs.oversized_hyperedges(h, 30).any()
     # hyperedges too small for a triangle are never oversized
     assert hs.oversized_hyperedges(hs.Hypergraph(3, [(0,), (1, 2)]), 0).tolist() == [False, False]
-    assert full.weights.sum() == 4060 + 1
+    assert sum(oracles.triples_of(full).values()) == 4060 + 1
 
 
 def assert_two_simplices_match_oracle(h, **kw):
@@ -242,10 +263,10 @@ def test_two_simplices_with_node_ids_past_packed_key_range():
                           (1_500_000, 2_097_152, 2_500_000, 2_999_999),
                           (5, 2_500_000, 2_999_999), (0, 2_999_998)])
     assert_two_simplices_match_oracle(h)
-    ts = hs.enumerate_two_simplices(h)
-    assert ts.triples.tolist()[0] == [5, 2_500_000, 2_999_999]
-    assert ts.triples.tolist()[-1] == [2_097_152, 2_500_000, 2_999_999]
-    assert ts.weights.tolist() == [2, 1, 1, 1, 1]
+    tri = oracles.triples_of(hs.enumerate_two_simplices(h))
+    assert list(tri)[0] == (5, 2_500_000, 2_999_999)
+    assert list(tri)[-1] == (2_097_152, 2_500_000, 2_999_999)
+    assert list(tri.values()) == [2, 1, 1, 1, 1]
 
 
 def test_triple_center_index_consistency():
@@ -255,7 +276,7 @@ def test_triple_center_index_consistency():
     n = h.num_nodes
     # expanded arrays: every triple appears once per member as center
     per_center = {i: [] for i in range(n)}
-    for t, w in zip(ts.triples.tolist(), ts.weights.tolist()):
+    for t, w in oracles.triple_weights(h.hyperedges)[0].items():
         for c in t:
             rest = tuple(x for x in t if x != c)
             per_center[c].append((rest[0], rest[1], w))
@@ -374,11 +395,28 @@ def test_gcc_is_maximal_and_connected():
 
 def test_density_single_triangle():
     h = hs.Hypergraph(3, [(0, 1, 2)])
-    assert hs.simplex_densities(hs.build_adjacency(h), hs.enumerate_two_simplices(h)) == (2.0, 1.0)
+    assert hs.simplex_densities(h) == (2.0, 1.0)
 
 
 def test_density_weighted_by_multiplicity():
     h = hs.Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
-    k1, k2 = hs.simplex_densities(hs.build_adjacency(h), hs.enumerate_two_simplices(h))
+    k1, k2 = hs.simplex_densities(h)
     assert k1 == pytest.approx(3.0)
     assert k2 == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("size_cap", [0, 3, 25])
+def test_densities_from_sizes_equal_the_means_bitwise(size_cap):
+    # the means of the two structures the sizes stand in for, on graphs with
+    # repeated hyperedges and, for the caps, hyperedges of up to 30 nodes
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n = int(rng.integers(3, 40))
+        h = random_hypergraph(rng, n, int(rng.integers(1, 15)), 30 if trial % 4 == 0 else 6)
+        dupes = [h.hyperedges[i] for i in rng.integers(0, h.num_hyperedges, 4)]
+        for g in (hs.Hypergraph(n, [*h.hyperedges, *dupes]),
+                  hs.giant_component(hs.Hypergraph(n, [*h.hyperedges, *dupes]))[0]):
+            want_k1 = float(hs.build_adjacency(g).weighted_degree.mean())
+            want_k2 = float(oracles.brute_two_simplices(
+                g.num_nodes, g.hyperedges, size_cap)["node_triple_weight"].mean())
+            assert hs.simplex_densities(g, size_cap) == (want_k1, want_k2)

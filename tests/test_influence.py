@@ -120,6 +120,36 @@ def test_cia_argument_validation():
     assert hs.cia_select(v, ci, 0) == ()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("beta1, gamma, match", [
+    (NAN, 1, "beta1 must be nonnegative"),
+    (-0.1, 1, "beta1 must be nonnegative"),
+    (0.5, NAN, "gamma must be at least 1"),
+    (0.5, 0.5, "gamma must be at least 1"),
+    (0.5, 0, "gamma must be at least 1"),
+], ids=["nan_beta1", "negative_beta1", "nan_gamma", "gamma_half", "gamma_0"])
+def test_collective_influence_refuses_what_build_wnb_refuses(beta1, gamma, match):
+    v = view_of(3, [[0, 1, 2]])
+    for call in (lambda: hs.collective_influence(v, beta1, gamma),
+                 lambda: hs.build_wnb(v, beta1, gamma)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, -1, "2", None])
+def test_selection_refuses_a_k_that_is_no_count(k):
+    v = view_of(4, [[0, 1, 2], [2, 3]])
+    ci = hs.collective_influence(v, 0.5, 1)
+    calls = [lambda: hs.cia_select(v, ci, k)]
+    calls += [lambda m=m: hs.baseline_select(v, k, m) for m in hs.BASELINE_METHODS]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            call()
+    assert hs.baseline_select(v, np.int64(2), "degree") == hs.baseline_select(v, 2, "degree")
+
+
 def test_degree_and_hyperdegree_baselines():
     star = view_of(4, [[0, 1], [0, 2], [0, 3]])
     assert hs.baseline_select(star, 1, "degree") == (0,)

@@ -201,7 +201,7 @@ def test_triangle_channel_shifts_curve_nonnegatively():
     g, _ = hs.giant_component(h)
     v = hs.build_adjacency(g)
     ts = hs.enumerate_two_simplices(g)
-    k1, k2 = hs.simplex_densities(v, ts)
+    k1, k2 = hs.simplex_densities(g)
     seeds = [int(v.node_degree.argmax())]
     base = []
     for lam2 in (0.0, 0.8):
@@ -259,6 +259,26 @@ def test_rescale_params_formula_and_errors():
     for lam1, lam2 in ((-0.5, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("nan"))):
         with pytest.raises(ValueError, match="must be nonnegative"):
             hs.rescale_params(lam1, lam2, 2.0, 2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("args, kw, match", [
+    ((1.0, 0.0, 2.0, 0.0), {"gamma": 0}, "gamma must be an integer >= 1"),
+    ((1.0, 0.0, 2.0, 0.0), {"gamma": -1}, "gamma must be an integer >= 1"),
+    ((1.0, 0.0, 2.0, 0.0), {"gamma": 1.5}, "gamma must be an integer >= 1"),
+    ((1.0, 0.0, 2.0, 0.0), {"gamma": True}, "gamma must be an integer >= 1"),
+    ((1.0, 0.0, NAN, 1.0), {}, "k1 must not be NaN"),
+    ((0.0, 0.0, NAN, 1.0), {}, "k1 must not be NaN"),
+    ((1.0, 0.0, -2.0, 1.0), {}, "k1 must be positive"),
+    ((0.0, 1.0, 1.0, NAN), {}, "k2 must not be NaN"),
+    ((0.0, 1.0, 1.0, -1.0), {}, "no triangles"),
+], ids=["gamma_0", "gamma_negative", "gamma_float", "gamma_bool", "nan_k1", "nan_k1_unused",
+        "negative_k1", "nan_k2", "negative_k2"])
+def test_rescale_params_refuses(args, kw, match):
+    with pytest.raises(ValueError, match=match):
+        hs.rescale_params(*args, **kw)
 
 
 def test_classify_bistable_edges():
