@@ -12,8 +12,10 @@ all seven selection methods, ``spectrum --dump-operator``, ``spectrum
 --size-cap 3``, ``fig3`` with and without ``--beta1 0``, and ``stats``,
 the last four on the generated instance.  The script then prints ``md5
 relpath`` for every output file except ``provenance.json`` (it records
-paths), sorted by path; for every ``provenance.json`` its ``size_cap``
-and ``skipped_hyperedges`` (absent ones read None), and for the two
+paths), sorted by path, each ``spectrum.json`` line followed by its
+``lambda_c`` repr and ``iterations``, so a change of digits can be read
+off; for every ``provenance.json`` its ``size_cap`` and
+``skipped_hyperedges`` (absent ones read None), and for the two
 ``experiment`` ones also the reprs of ``k1_mean`` and ``k2_mean``; and
 five library lines no command writes: ``library/enumerate_two_simplices``
 (the six array fields of the triangle set with their dtypes),
@@ -80,9 +82,18 @@ def run_commands(outdir: Path) -> None:
 
 
 def digest(outdir: Path) -> list[str]:
-    return [f"{hashlib.md5(p.read_bytes()).hexdigest()}  {p.relative_to(outdir).as_posix()}"
-            for p in sorted(outdir.rglob("*"))
-            if p.is_file() and p.name != "provenance.json"]
+    """``md5  relpath`` of every output but provenance.json; a spectrum.json
+    line also carries its ``lambda_c`` repr and ``iterations``."""
+    lines = []
+    for p in sorted(outdir.rglob("*")):
+        if not p.is_file() or p.name == "provenance.json":
+            continue
+        line = f"{hashlib.md5(p.read_bytes()).hexdigest()}  {p.relative_to(outdir).as_posix()}"
+        if p.name == "spectrum.json":
+            doc = json.loads(p.read_text())
+            line += f"  lambda_c {doc['lambda_c']!r} iterations {doc['iterations']}"
+        lines.append(line)
+    return lines
 
 
 def provenance_lines(outdir: Path) -> list[str]:

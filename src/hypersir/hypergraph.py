@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, pairwise
+from itertools import chain, combinations, compress, pairwise, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,12 +50,39 @@ def _is_count(value, low: int) -> bool:
     return _is_integer(value) and value >= low
 
 
+def _int64_array(values, what: str, owner) -> np.ndarray:
+    """``values`` as an int64 array; ValueError if an entry is not an integer.
+
+    The message names hyperedge ``owner(k)`` for the first bad entry k.  A
+    sequence is checked by the types of its entries, in C, so a bool or a
+    whole-valued float among ints is found before numpy promotes it to
+    their dtype.  An array is checked by its dtype: a fractional or NaN
+    entry of a float array is named, and whole values are refused by the
+    dtype, since 2.0 cannot be told from 2 there.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        bad = tuple(t for t in set(map(type, values))
+                    if not issubclass(t, numbers.Integral) or issubclass(t, bool))
+        if bad:
+            odd = np.fromiter(map(isinstance, values, repeat(bad)), dtype=bool, count=len(values))
+            raise ValueError(f"hyperedge {owner(odd.argmax())} has a non-integer {what}")
+        values = np.asarray(values)
+    if values.dtype.kind not in "iu" and len(values):
+        odd = (values != np.trunc(values) if values.dtype.kind == "f"
+               else np.ones(len(values), dtype=bool))
+        raise ValueError(f"hyperedge {owner(odd.argmax())} has a non-integer {what}"
+                         if odd.any() else f"{what}s must be integers, not {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False, init=False)
 class Hypergraph:
     """Node set plus hyperedge multiset, stored as a CSR incidence.
 
-    Node ids are dense integers in [0, num_nodes); a node count or id
-    that is not an integer is refused, never truncated.  Hyperedge ``a`` is
+    Node ids are dense integers in [0, num_nodes); a node count, node id
+    or hyperedge size that is not an integer (a bool is none) is refused,
+    never truncated.  Hyperedge ``a`` is
     ``members[edge_ptr[a]:edge_ptr[a + 1]]``, sorted; the multiset order
     is preserved as given.  ``node_labels[i]``, when present, names node i.
     """
@@ -69,29 +96,25 @@ class Hypergraph:
                  node_labels: Sequence | None = None):
         edges = list(hyperedges)
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-        self._store(num_nodes, sizes, np.array(list(chain.from_iterable(edges))), node_labels)
+        self._store(num_nodes, sizes, list(chain.from_iterable(edges)), node_labels)
 
     @classmethod
     def from_arrays(cls, num_nodes: int, sizes, members, node_labels: Sequence | None = None):
         """Hypergraph whose hyperedge ``a`` is the next ``sizes[a]`` entries of ``members``."""
         h = cls.__new__(cls)
-        h._store(num_nodes, np.asarray(sizes, dtype=np.int64), np.asarray(members), node_labels)
+        h._store(num_nodes, sizes, members, node_labels)
         return h
 
     def _store(self, num_nodes, sizes, members, node_labels) -> None:
         if not _is_count(num_nodes, 0):
             raise ValueError(f"num_nodes must be an integer >= 0, got {num_nodes!r}")
+        sizes = _int64_array(sizes, "size", int)
         if (sizes < 0).any() or sizes.sum() != len(members):
             raise ValueError("hyperedge sizes must be nonnegative and sum to the member count")
         if node_labels is not None and len(node_labels) != num_nodes:
             raise ValueError(f"{len(node_labels)} node labels for {num_nodes} nodes")
         edge_of = np.repeat(np.arange(len(sizes)), sizes)
-        if members.dtype.kind not in "iu" and len(members):
-            odd = (members != np.trunc(members) if members.dtype.kind == "f"
-                   else np.ones(len(members), dtype=bool))
-            raise ValueError(f"hyperedge {edge_of[odd.argmax()]} has a non-integer node id"
-                             if odd.any() else f"node ids must be integers, not {members.dtype}")
-        members = members.astype(np.int64, copy=False)
+        members = _int64_array(members, "node id", edge_of.__getitem__)
         members = members[np.lexsort((members, edge_of))]
         texts = ("is empty", f"has node id outside [0, {num_nodes})", "contains a duplicate node id")
         bad = np.zeros((len(texts), len(sizes)), dtype=bool)  # per hyperedge, test by test

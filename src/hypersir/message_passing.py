@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .hypergraph import AdjacencyView, LinkIndex, TwoSimplexSet, build_link_index
+from .hypergraph import AdjacencyView, LinkIndex, TwoSimplexSet, _is_count, build_link_index
 from .sir import I, EpidemicParams, initial_state
 
 __all__ = [
@@ -249,8 +249,8 @@ def mp_solve(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if not _is_count(max_iters, 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     state = initial_messages(view, simplices, seeds)
     trace: list[float] = []
     delta = 0.0
@@ -387,9 +387,15 @@ def leading_eigen(
 ) -> SpectralResult:
     """Power iteration for the spectral radius of the link operator.
 
-    The iteration runs on the diagonally shifted operator so that the
-    rotating spectra of cycle-like graphs still mix toward the leading
-    eigenvector; the reported eigenvalue removes the shift.  The
+    Each step applies ``B + shift * I`` to the L1-normalised positive
+    iterate ``v``, so the rotating spectra of cycle-like graphs still mix
+    toward the leading eigenvector; the eigenvalue estimate is
+    ``lam = sum(B v)``, which removes the shift.  The first shift is half
+    the largest row sum; after every step it becomes ``lam / 2``.  In the
+    limit every other eigenvalue ``mu`` then decays at the ratio
+    ``|mu + rho/2| / (1.5 rho)``, which is below 1 for every ``mu != rho``
+    and 1/3 for ``mu = -rho`` (bipartite graphs), without the slack that
+    a fixed row-sum shift takes on from heavy-tailed degrees.  The
     operator is nilpotent exactly when the node graph is a forest
     (links / 2 == nodes - components), and zero when beta1 * gamma is 0;
     both cases short-circuit to an exact zero radius with an exact
@@ -397,6 +403,8 @@ def leading_eigen(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not _is_count(max_iters, 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     links = op.links
     num_links = links.num_links
     n_comp, _ = connected_components(
@@ -432,6 +440,7 @@ def leading_eigen(
             if resid <= tol * max(1.0, abs(lam)):
                 return SpectralResult(lam, v, it, resid, True)
         lam_prev = lam
+        shift = 0.5 * lam
     return SpectralResult(lam, v, max_iters, _residual(op, v, lam), False)
 
 

@@ -16,6 +16,7 @@ from math import comb, sqrt
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 
 def normalize_hyperedges(num_nodes, hyperedges):
@@ -449,6 +450,77 @@ def reference_plumb(links, simplices):
             "excl_a": links.reverse[tlink_a], "excl_b": links.reverse[tlink_b],
             "centers": simplices.pair_center,
             "center_power": simplices.pair_weight.astype(np.float64)}
+
+
+def ihara_bass_radius(view) -> float:
+    """Spectral radius of the skeleton link operator, from the node level.
+
+    The weighted Ihara-Bass identity (Watanabe & Fukumizu, NIPS 2009)
+    reads ``det(I - zB) = prod_edges (1 - z^2 w^2) * det(I - K(z))`` for
+    the operator ``B[(i->j), (k->i)] = w_ki`` (k != j), where ``K(z)`` is
+    the symmetric N x N matrix with off-diagonal entries
+    ``z w_ij / (1 - z^2 w_ij^2)`` and diagonal entries
+    ``-sum_j z^2 w_ij^2 / (1 - z^2 w_ij^2)``.  B is nonnegative, so
+    ``1 / rho`` is the smallest z > 0 at which ``det(I - zB)`` vanishes;
+    below it the top eigenvalue of ``K(z)`` stays under 1 (it is 0 at
+    z = 0), so ``1 / rho`` is where that eigenvalue first reaches 1.
+    A secant on z, kept inside a bracket (Illinois rule), finds it from
+    ``1 / max row sum <= 1 / rho``.  The factor ``1 - z w`` has a pole at
+    ``z = 1 / max w``; when the root does not come clearly before it (a
+    unicyclic graph with unit weights has it at the pole, and forests
+    have none), ValueError is raised rather than a guess.  Reads only
+    ``view.weighted``, never the link index.
+    """
+    a = view.weighted.tocoo()
+    n = view.num_nodes
+    rows, cols, w = a.row, a.col, a.data.astype(np.float64)
+    strength = np.bincount(rows, weights=w, minlength=n)
+    max_row = float((strength[rows] - w).max(initial=0.0))  # row (i->j) sums s_i - w_ij
+    if max_row == 0.0:
+        raise ValueError("B is zero: the radius is 0 and has no root")
+    pole = 1.0 / w.max()
+
+    def excess(z):
+        """Top eigenvalue of K(z), minus 1."""
+        zw = z * w
+        den = 1.0 - zw * zw
+        k = sp.csr_matrix((zw / den, (rows, cols)), shape=(n, n))
+        k = k + sp.diags(-np.bincount(rows, weights=zw * zw / den, minlength=n))
+        if n <= 64:
+            return float(np.linalg.eigvalsh(k.toarray())[-1]) - 1.0
+        top = eigsh(k, k=1, which="LA", v0=np.ones(n), tol=1e-15, return_eigenvectors=False)
+        return float(top[0]) - 1.0
+
+    lo = 1.0 / max_row
+    if not lo < pole:
+        raise ValueError(f"pole z = {pole!r} at or below the start {lo!r}")
+    f_lo = excess(lo)
+    if f_lo >= 0.0:  # rho is the largest row sum (a regular graph), up to rounding
+        return 1.0 / lo
+    hi, f_hi = lo, f_lo
+    while f_hi < 0.0:  # march toward the pole until the top eigenvalue passes 1
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, 0.5 * (hi + pole))
+        if pole - hi <= 1e-6 * pole:  # K(z) grows as 1 / (1 - z max w) there
+            raise ValueError(f"no root clearly before the pole z = {pole!r}")
+        f_hi = excess(hi)
+    side = 0
+    for _ in range(200):
+        z = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = excess(z)
+        if f == 0.0 or min(z - lo, hi - z) <= 1e-15 * z:
+            return 1.0 / z
+        if f < 0.0:
+            lo, f_lo = z, f
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = z, f
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+    raise ValueError("secant on z did not converge")
 
 
 def brute_collective_influence(num_nodes, hyperedges, beta1, gamma):

@@ -60,6 +60,9 @@ def test_duplicate_hyperedges_are_kept():
     [(0, 1), (), (2, 0.5)],             # and named before any other fault
     [(0, 1), (1, float("nan"))],
     [(True, False)],
+    [(0, True)],                        # a bool among ints is no id either
+    [(0, 1), (2, np.True_)],
+    [(0, 1), (2.0,)],                   # nor a whole-valued float among ints
 ])
 def test_invalid_hyperedge_names_same_position_as_per_edge_oracle(edges):
     with pytest.raises(ValueError) as want:
@@ -82,13 +85,28 @@ def test_non_integer_node_count_refused(num_nodes):
 
 
 def test_whole_float_ids_refused_by_dtype():
-    # 2.0 cannot be told from 2 once the ids share one float array
-    with pytest.raises(ValueError, match="node ids must be integers, not float64"):
+    # 2.0 cannot be told from 2 once the ids share one float array; a list
+    # is checked entry by entry, so there the hyperedge is named
+    with pytest.raises(ValueError, match="^hyperedge 1 has a non-integer node id$"):
         hs.Hypergraph(3, [(0, 1), (2.0,)])
     with pytest.raises(ValueError, match="node ids must be integers, not float64"):
         hs.Hypergraph.from_arrays(3, [2], np.array([0.0, 1.0]))
     h = hs.Hypergraph.from_arrays(np.int64(3), [2], np.array([0, 2], dtype=np.uint8))
     assert h.num_nodes == 3 and h.members.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([2.7], "^hyperedge 0 has a non-integer size$"),   # once truncated to 2
+    ([1, 1.0], "^hyperedge 1 has a non-integer size$"),
+    ([1, True], "^hyperedge 1 has a non-integer size$"),
+    (np.array([1.5, 0.5]), "^hyperedge 0 has a non-integer size$"),
+    (np.array([1.0, 1.0]), "^sizes must be integers, not float64$"),
+])
+def test_non_integer_hyperedge_size_refused(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        hs.Hypergraph.from_arrays(3, sizes, [0, 1])
+    h = hs.Hypergraph.from_arrays(3, (np.int32(1), 1), [0, 1])
+    assert h.hyperedges == ((0,), (1,))
 
 
 def test_array_core_matches_per_edge_oracle():

@@ -10,7 +10,8 @@ import pytest
 import hypersir as hs
 from hypersir import message_passing
 from hypersir.data_io import write_json
-from oracles import exact_final_marginals, leave_one_out_escape, reference_plumb
+from hypersir.generators import GenSpec, generate
+from oracles import exact_final_marginals, ihara_bass_radius, leave_one_out_escape, reference_plumb
 
 PATH5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 STAR_LEG = [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5]]
@@ -329,6 +330,101 @@ def test_unconverged_residual_belongs_to_returned_eigvec():
             want = np.abs(op.matvec(res.eigvec) - res.lambda_c * res.eigvec).sum()
             assert res.residual == want, (v.num_nodes, max_iters)
     assert unconverged >= 50
+
+
+def hub_with_four_cycles(cycles):
+    """Hub 0 joined to one node of each of ``cycles`` disjoint 4-cycles."""
+    edges = []
+    for c in range(cycles):
+        a, b, d, e = range(1 + 4 * c, 5 + 4 * c)
+        edges += [[0, a], [a, b], [b, d], [d, e], [e, a]]
+    return hs.Hypergraph(1 + 4 * cycles, edges)
+
+
+def grid(side):
+    ids = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate([np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+                            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1)])
+    return hs.Hypergraph(side * side, edges.tolist())
+
+
+# All four graphs are bipartite, so -rho is an eigenvalue too; the step
+# counts a shift of half the largest row sum took are 565, 80, 52 and 52.
+@pytest.mark.parametrize("h, max_iters", [
+    (hub_with_four_cycles(50), 250),
+    (hs.Hypergraph(202, [[i, j] for i in (0, 1) for j in range(2, 202)]), 40),  # K_{2,200}
+    (grid(4), 60),
+    (hs.Hypergraph(8, [[i, (i + 1) % 8] for i in range(8)] + [[0, 3], [4, 7]]), 60),
+], ids=["hub_50_four_cycles", "K_2_200", "grid_4x4", "ring_8_two_chords"])
+def test_half_estimate_shift_matches_dense_and_converges_fast(h, max_iters):
+    op = hs.build_wnb(hs.build_adjacency(h), 1.0, 1)
+    res = hs.leading_eigen(op)
+    assert res.converged and res.iterations <= max_iters
+    eig = np.linalg.eigvals(op.matrix.toarray())
+    rho = np.abs(eig).max()
+    assert abs(res.lambda_c - rho) <= 1e-9 * rho
+    assert np.abs(eig + rho).min() <= 1e-9 * rho
+
+
+def test_half_estimate_shift_on_hub_at_scale():
+    # 2,000 links: the radius comes from the node-level oracle, not eigvals
+    v = hs.build_adjacency(hub_with_four_cycles(200))
+    res = hs.leading_eigen(hs.build_wnb(v, 1.0, 1))
+    assert res.converged and res.iterations <= 250  # a row-sum shift took 1,715
+    rho = ihara_bass_radius(v)
+    assert abs(res.lambda_c - rho) <= 1e-9 * rho
+
+
+def test_ihara_bass_oracle_matches_dense():
+    rng = np.random.default_rng(14)
+    outcomes = {"root": 0, "pole": 0}
+    for _ in range(80):
+        n = int(rng.integers(4, 10))
+        edges = [rng.choice(n, size=int(rng.integers(2, 4)), replace=False).tolist()
+                 for _ in range(int(rng.integers(2, 2 * n)))]
+        edges += [edges[0]] * int(rng.integers(0, 3))  # repeats raise pair weights
+        v = hs.build_adjacency(hs.Hypergraph(n, edges))
+        op = hs.build_wnb(v, 1.0, 1)
+        if op.num_links == 0:
+            continue
+        rho = np.abs(np.linalg.eigvals(op.matrix.toarray())).max()
+        max_w = v.weighted.data.max()
+        try:
+            got = ihara_bass_radius(v)
+        except ValueError:
+            # refused only when 1 / rho is not clearly below the pole 1 / max w
+            assert rho <= max_w * (1 + 1e-6)
+            outcomes["pole"] += 1
+            continue
+        assert abs(got - rho) <= 1e-10 * rho
+        outcomes["root"] += 1
+    assert outcomes["root"] >= 30 and outcomes["pole"] >= 10, outcomes
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("scale_free", 5000, 10000, exponent=2.0, size_range=(2, 4),
+            degree_range=(2, 60), rng_seed=1),   # the benchmark's threshold instance
+    GenSpec("erdos_renyi", 2000, 1500, membership_p=0.0015, rng_seed=1),
+], ids=["scale_free_4.5k", "erdos_renyi_1.8k"])
+def test_critical_beta1_matches_ihara_bass_at_scale(spec):
+    gcc, _ = hs.giant_component(generate(spec))
+    v = hs.build_adjacency(gcc)
+    rho = ihara_bass_radius(v)
+    assert abs(hs.critical_beta1(v, gamma=1) * rho - 1.0) <= 1e-9
+
+
+def test_max_iters_must_be_a_count():
+    v, ts = views(3, [[0, 1, 2]])
+    op = hs.build_wnb(v, 0.5, 1)
+    par = hs.EpidemicParams(beta1=0.5, beta2=0.0, gamma=1)
+    # 0 once read as the exact forest result, -3 as -3 iterations, True as 1
+    for bad in (0, -3, 2.5, True, 3.0, None, "5"):
+        for solve in (lambda: hs.leading_eigen(op, max_iters=bad),
+                      lambda: hs.mp_solve(v, ts, par, [0], max_iters=bad)):
+            with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+                solve()
+    assert hs.leading_eigen(op, max_iters=np.int64(1)).iterations == 1
+    assert hs.mp_solve(v, ts, par, [0], max_iters=np.int32(1)).iterations == 1
 
 
 def test_critical_beta1_examples():
