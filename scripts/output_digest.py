@@ -8,15 +8,17 @@ Usage (from the root of the tree to digest):
 Every command goes through ``hypersir.cli.main`` with its outputs under
 OUTDIR: ``generate`` (a scale-free instance, N=2000, seed 3),
 ``experiment`` on the benchmark's sweep config at seeds 1 and 2027 with
-all seven selection methods, ``spectrum --dump-operator``, ``spectrum
---size-cap 3``, ``fig3`` with and without ``--beta1 0``, and ``stats``,
-the last four on the generated instance.  The script then prints ``md5
-relpath`` for every output file except ``provenance.json`` (it records
-paths), sorted by path, each ``spectrum.json`` line followed by its
-``lambda_c`` repr and ``iterations``, so a change of digits can be read
-off; for every ``provenance.json`` its ``size_cap`` and
-``skipped_hyperedges`` (absent ones read None), and for the two
-``experiment`` ones also the reprs of ``k1_mean`` and ``k2_mean``; and
+all seven selection methods, and at seed 1 again with ``--workers 2``,
+``spectrum --dump-operator`` at unit rates and at ``--beta1 0.37
+--gamma 3`` (the scaled dump), ``spectrum --size-cap 3``, ``fig3`` with
+and without ``--beta1 0``, and ``stats``, the last five on the generated
+instance.  The script then prints ``md5 relpath`` for every output file
+except ``provenance.json`` (it records paths), sorted by path, each
+``spectrum.json`` line followed by its ``lambda_c`` repr and
+``iterations``, so a change of digits can be read off; for every
+``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
+ones read None), and for the ``experiment`` ones also the reprs of
+``k1_mean`` and ``k2_mean``; and
 five library lines no command writes: ``library/enumerate_two_simplices``
 (the six array fields of the triangle set with their dtypes),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
@@ -68,7 +70,10 @@ def run_commands(outdir: Path) -> None:
         "generate": ["generate", *INSTANCE, "--name", "instance"],
         "experiment-s1": sweep_args(1),
         "experiment-s2027": sweep_args(2027),
+        "experiment-s1-workers2": [*sweep_args(1), "--workers", "2"],
         "spectrum": ["spectrum", "--dataset", data, "--dump-operator"],
+        "spectrum-scaled": ["spectrum", "--dataset", data, "--dump-operator",
+                            "--beta1", "0.37", "--gamma", "3"],
         "spectrum-cap3": ["spectrum", "--dataset", data, "--size-cap", "3"],
         "fig3": ["fig3", "--dataset", data],
         "fig3-beta1-0": ["fig3", "--dataset", data, "--beta1", "0"],

@@ -93,7 +93,6 @@ class ExperimentConfig:
     rng_seed: int = 0
     output_dir: str = "."
     name: str | None = None
-    use_gcc: bool = True
     size_cap: int = DEFAULT_TRIPLE_EDGE_CAP
     workers: int = 1
     sizes: list[int] = field(default_factory=lambda: [1000, 2000, 4000, 8000])
@@ -212,7 +211,7 @@ class PreparedInput:
 
 def prepare_input(cfg: ExperimentConfig) -> PreparedInput:
     h = _load_raw(cfg)
-    work = giant_component(h)[0] if cfg.use_gcc else h
+    work = giant_component(h)[0]
     return PreparedInput(work, build_adjacency(work), cfg.size_cap)
 
 
@@ -297,9 +296,10 @@ def _experiment_cells(cfg: ExperimentConfig, inp: PreparedInput):
 
 
 def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: int, cell,
-              seed_sets: dict):
+              select):
     """All methods of one parameter cell, at rates rescaled by ``densities``
-    (k1, k2); any failure aborts the cell."""
+    (k1, k2) and seeded by ``select(method, k, rng_seed)``; any failure
+    aborts the cell."""
     (mode1, v1), (mode2, v2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
     sim_seed, sel_seed = (int(x) for x in ss.generate_state(2))
@@ -317,11 +317,9 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
         b1, b2 = _cell_rates(mode1, v1, mode2, v2, *densities, cfg.gamma)
         for method in cfg.methods:
             # only random reads sel_seed; the other methods select once per k
-            key = (method, k, sel_seed if method == "random" else None)
-            if key not in seed_sets:
-                seed_sets[key] = select_seeds(inp.view, method, k, sel_seed)
+            seeds = select(method, k, sel_seed if method == "random" else 0)
             stats = run_sir(
-                inp.view, inp.simplices, seed_sets[key],
+                inp.view, inp.simplices, seeds,
                 EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed),
                 runs=cfg.runs,
             )
@@ -345,10 +343,12 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     inp.simplices  # noqa: B018
     cells = _experiment_cells(cfg, inp)
     outdir = _outdir(cfg)
-    seed_sets: dict = {}  # shared by this call's cells; racing workers may both fill a key
+    # one selection per (method, k, seed) across this call's cells; a
+    # failure is not cached, so every cell needing that set fails alike
+    select = functools.cache(functools.partial(select_seeds, inp.view))
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = list(pool.map(
-            lambda item: _run_cell(cfg, inp, (k1, k2), item[0], item[1], seed_sets),
+            lambda item: _run_cell(cfg, inp, (k1, k2), item[0], item[1], select),
             enumerate(cells)))
 
     rows = [row for cell_rows, _ in results for row in cell_rows]

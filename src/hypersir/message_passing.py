@@ -18,8 +18,9 @@ all-susceptible point yields the weighted non-backtracking operator
 beta1 * gamma * A_NB (Karrer & Newman, PRE 82:016101, 2010), which
 defines the threshold, so those limits do not reach it: its spectral
 radius decides whether a vanishing infection seed grows or dies, and
-influence scoring reuses it.  It is applied matrix-free; a CSR form is
-built only for small-instance oracles and ``--dump-operator``.
+influence scoring reuses it.  It is applied matrix-free; its CSR form
+exists only for ``--dump-operator``, the benchmark tracer's
+``operator_bytes`` count, and tests.
 """
 
 from __future__ import annotations
@@ -284,8 +285,9 @@ class WnbOperator:
     Entry (row = link i -> j, col = link k -> i, k != j) equals
     ``beta1 * gamma * A_ki``; triangle terms are quadratic in the
     infection messages and vanish at this point, so no triangle
-    parameter appears.  :meth:`matvec` applies it matrix-free; the CSR
-    forms ``skeleton`` (entries A_ki) and ``matrix`` are built per read.
+    parameter appears.  :meth:`matvec` applies it matrix-free.  The
+    rate-free CSR ``skeleton`` (entries A_ki) is built per read, only for
+    :meth:`dump_coo`, the benchmark tracer's ``operator_bytes`` and tests.
     ``scaled_weight`` holds ``beta1 * gamma * weight`` per link.
     """
 
@@ -313,29 +315,22 @@ class WnbOperator:
 
     @property
     def skeleton(self) -> sp.csr_matrix:
-        """Rate-free CSR: link -> source incidence times the weighted
-        in-links of each node, minus the weighted backtracking step."""
+        """Rate-free CSR (entries A_ki): row (i -> j) is row i of ``into``,
+        the weighted links into i, minus the backtracking link (j -> i)."""
         links = self.links
-        num_links, n = links.num_links, links.num_nodes
-        ids = np.arange(num_links + 1)
+        num_links = links.num_links
+        # row i lists the links (k -> i) into i, reverse over i's out-link
+        # range; a pair's weight is the same both ways, so weight gives A_ki
         weight = links.weight.astype(np.float64)
-        to_src = sp.csr_matrix((np.ones(num_links), links.src, ids), shape=(num_links, n))
-        # row i lists the links into i: reverse over i's out-link range
-        from_dst = sp.csr_matrix((weight[links.reverse], links.reverse, links.out_ptr),
-                                 shape=(n, num_links))
-        back = sp.csr_matrix((weight[links.reverse], links.reverse, ids),
+        into = sp.csr_matrix((weight, links.reverse, links.out_ptr),
+                             shape=(links.num_nodes, num_links))
+        back = sp.csr_matrix((weight, links.reverse, np.arange(num_links + 1)),
                              shape=(num_links, num_links))
-        skeleton = to_src @ from_dst - back  # drops the cancelled entries
-        skeleton.sort_indices()
-        return skeleton
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return (self.beta1 * self.gamma) * self.skeleton
+        return into[links.src] - back  # drops the cancelled entries
 
     def dump_coo(self, path) -> None:
         """Write the scaled operator as 'row col value' text lines."""
-        coo = self.matrix.tocoo()
+        coo = ((self.beta1 * self.gamma) * self.skeleton).tocoo()
         with open(path, "w") as fh:
             fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):
@@ -395,7 +390,11 @@ def leading_eigen(
     limit every other eigenvalue ``mu`` then decays at the ratio
     ``|mu + rho/2| / (1.5 rho)``, which is below 1 for every ``mu != rho``
     and 1/3 for ``mu = -rho`` (bipartite graphs), without the slack that
-    a fixed row-sum shift takes on from heavy-tailed degrees.  The
+    a fixed row-sum shift takes on from heavy-tailed degrees.  A solve
+    takes about ``1 / gap`` matvecs, gap = 1 - the largest such ratio:
+    34 on the benchmark's 4.5k-node scale-free GCCs, but a lattice's gap
+    closes like ``1 / side**2`` (709 steps on a 30 x 30 grid, 2,554 on
+    60 x 60), so there the cost grows about quadratically in N.  The
     operator is nilpotent exactly when the node graph is a forest
     (links / 2 == nodes - components), and zero when beta1 * gamma is 0;
     both cases short-circuit to an exact zero radius with an exact

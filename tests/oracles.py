@@ -452,6 +452,27 @@ def reference_plumb(links, simplices):
             "center_power": simplices.pair_weight.astype(np.float64)}
 
 
+def nb_operator(view, beta1, gamma) -> np.ndarray:
+    """Dense weighted non-backtracking link operator, from its definition.
+
+    Links are the nonzeros (i, j) of ``view.weighted`` in row-major
+    order, which is the package's link order; entry ((i -> j), (k -> i))
+    is ``beta1 * gamma * A_ki`` for every k != j (Karrer & Newman, PRE
+    82:016101, 2010) and every other entry is 0.  Reads only
+    ``view.weighted``, never the link index.
+    """
+    a = view.weighted.toarray()
+    links = list(zip(*(ids.tolist() for ids in np.nonzero(a))))
+    link_id = {link: e for e, link in enumerate(links)}
+    scale = beta1 * gamma
+    mat = np.zeros((len(links), len(links)))
+    for row, (i, j) in enumerate(links):
+        for k in np.nonzero(a[:, i])[0].tolist():
+            if k != j:
+                mat[row, link_id[k, i]] = scale * a[k, i]
+    return mat
+
+
 def ihara_bass_radius(view) -> float:
     """Spectral radius of the skeleton link operator, from the node level.
 

@@ -25,7 +25,8 @@ from hypersir.cli import (
     select_seeds,
 )
 from hypersir.message_passing import build_link_index
-from oracles import brute_collective_influence, exact_sigma_distribution, multinomial_violations
+from oracles import (brute_collective_influence, exact_sigma_distribution, multinomial_violations,
+                     nb_operator)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -124,18 +125,18 @@ def test_criterion_02_spectral_radius_matches_dense_solver():
         op = hs.build_wnb(v, b1, g)
         res = hs.leading_eigen(op, tol=1e-12)
         assert res.converged
-        dense = float(np.abs(np.linalg.eigvals(op.matrix.toarray())).max())
+        want = nb_operator(v, b1, g)
+        dense = float(np.abs(np.linalg.eigvals(want)).max())
         worst_dense = max(worst_dense, abs(res.lambda_c - dense))
         assert abs(res.lambda_c - dense) <= 1e-8
         res2 = hs.leading_eigen(hs.build_wnb(v, 2.0 * b1, g), tol=1e-12)
         worst_lin = max(worst_lin, abs(res2.lambda_c - 2.0 * res.lambda_c))
         assert abs(res2.lambda_c - 2.0 * res.lambda_c) <= 1e-8
         # the triangle channel cannot enter the operator: no such parameter
-        # exists, and rebuilding yields bitwise-identical data
+        # exists, and every build equals the definition bit for bit
         assert "beta2" not in inspect.signature(hs.build_wnb).parameters
-        op2 = hs.build_wnb(v, b1, g)
-        assert np.array_equal(op.matrix.data, op2.matrix.data)
-        assert np.array_equal(op.matrix.indices, op2.matrix.indices)
+        for built in (op, hs.build_wnb(v, b1, g)):
+            assert np.array_equal((b1 * g) * built.skeleton.toarray(), want)
         checked += 1
     elapsed = time.time() - t0
     ok = elapsed < 60.0
@@ -168,7 +169,7 @@ def test_criterion_03_finite_differences_recover_operator():
         v, ts = _views(n, edges)
         b1 = 0.35
         op = hs.build_wnb(v, b1, gamma)
-        mat = op.matrix.toarray()
+        mat = nb_operator(v, b1, gamma)
         num_links = op.num_links
         par = hs.EpidemicParams(beta1=b1, beta2=0.4, gamma=gamma)
         jac = np.zeros((num_links, num_links))

@@ -218,7 +218,7 @@ def test_parser_has_one_flag_per_config_field():
 EVERY_FLAG = [
     "--dataset", "d.txt", "--nverts", "nv.txt", "--simplices", "sx.txt", "--gamma", "3",
     "--methods", "degree", "hadp", "--runs", "9", "--rng-seed", "11", "--output-dir", "o",
-    "--name", "nm", "--no-use-gcc", "--size-cap", "6", "--workers", "2", "--sizes", "10", "20",
+    "--name", "nm", "--size-cap", "6", "--workers", "2", "--sizes", "10", "20",
     "--mean-degree", "4.5", "--bench-repeats", "5", "--n-grid", "2.5", "50", "--dump-operator",
     "--family", "d_uniform", "--num-nodes", "30", "--num-hyperedges", "40", "--exponent", "2.5",
     "--membership-p", "0.25", "--uniform-size", "4", "--degree-range", "1", "9",
@@ -250,7 +250,7 @@ def test_every_flag_reaches_the_config(tmp_path, monkeypatch, rates, want):
                    "degree_range": [1, 9], "size_range": [2, 5], "rng_seed": 13},
         dataset="d.txt", nverts="nv.txt", simplices="sx.txt", gamma=3,
         methods=["degree", "hadp"], runs=9, rng_seed=11, output_dir="o", name="nm",
-        use_gcc=False, size_cap=6, workers=2, sizes=[10, 20], mean_degree=4.5,
+        size_cap=6, workers=2, sizes=[10, 20], mean_degree=4.5,
         bench_repeats=5, n_grid=[2.5, 50.0], dump_operator=True, **want)]
 
 
@@ -303,11 +303,13 @@ def test_cli_error_exit_codes(tmp_path):
                    "degree_range": [2.5, 4]}},
     {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60,
                    "exponent": float("nan")}},
+    {"use_gcc": False},  # removed: every command works on the giant component
 ], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
         "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
         "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
         "negative_mean_degree", "repeated_methods", "repeated_sizes", "er_float_hyperedges",
-        "uniform_float_hyperedges", "float_gen_seed", "float_degree_range", "nan_exponent"])
+        "uniform_float_hyperedges", "float_gen_seed", "float_degree_range", "nan_exponent",
+        "removed_use_gcc"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
     # malformed value can make the run exit 2; the error names it (the

@@ -11,7 +11,8 @@ import hypersir as hs
 from hypersir import message_passing
 from hypersir.data_io import write_json
 from hypersir.generators import GenSpec, generate
-from oracles import exact_final_marginals, ihara_bass_radius, leave_one_out_escape, reference_plumb
+from oracles import (exact_final_marginals, ihara_bass_radius, leave_one_out_escape, nb_operator,
+                     reference_plumb)
 
 PATH5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 STAR_LEG = [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5]]
@@ -216,7 +217,7 @@ def test_perturbation_decay_and_growth_track_threshold():
 def test_operator_triangle_structure():
     v, _ = views(3, [[0, 1], [1, 2], [0, 2]])
     op = hs.build_wnb(v, beta1=0.5, gamma=1.0)
-    mat = op.matrix.toarray()
+    mat = nb_operator(v, 0.5, 1.0)
     li = op.links
     assert op.num_links == 6
     # one continuation per link, weight 0.5, no backtracking
@@ -245,9 +246,9 @@ def test_operator_row_counts_match_in_degrees():
         nnz_per_row = np.diff(op.skeleton.indptr)
         in_deg = np.diff(li.out_ptr)
         assert np.array_equal(nnz_per_row, in_deg[li.src] - 1)
-        # the matrix-free product against its CSR oracle
+        # the matrix-free product against the operator's definition
         x = rng.standard_normal(li.num_links)
-        assert np.abs(op.matvec(x) - op.matrix @ x).max(initial=0.0) <= 1e-12
+        assert np.abs(op.matvec(x) - nb_operator(v, 0.4, 2) @ x).max(initial=0.0) <= 1e-12
     assert li.weight.max() > 1
 
 
@@ -255,7 +256,8 @@ def test_operator_weighted_entries_from_repeated_hyperedge():
     v, _ = views(3, [[0, 1, 2], [0, 1, 2]])
     op = hs.build_wnb(v, beta1=0.25, gamma=2.0)
     assert np.all(op.skeleton.data == 2.0)
-    assert np.all(op.matrix.data == 2 * 0.25 * 2.0)
+    mat = nb_operator(v, 0.25, 2.0)
+    assert np.all(mat[mat != 0.0] == 2 * 0.25 * 2.0)
     res = hs.leading_eigen(op)
     assert res.lambda_c == pytest.approx(1.0, abs=1e-10)
 
@@ -271,7 +273,7 @@ def test_operator_build_is_deterministic():
     assert np.array_equal(a.skeleton.indptr, b.skeleton.indptr)
     assert np.array_equal(a.skeleton.indices, b.skeleton.indices)
     assert np.array_equal(a.skeleton.data, b.skeleton.data)
-    assert np.array_equal(a.matrix.data, b.matrix.data)
+    assert np.array_equal(a.scaled_weight, b.scaled_weight)
 
 
 def test_lambda_scales_linearly_in_beta1_and_gamma():
@@ -293,11 +295,12 @@ def test_power_iteration_matches_dense_on_small_operators():
     while checked < 10:
         g = random_hypergraph(rng, 3, 5, 1, 4, s_hi=3)
         v = hs.build_adjacency(g)
-        op = hs.build_wnb(v, float(rng.uniform(0.1, 1.0)), int(rng.integers(1, 3)))
+        b1, gamma = float(rng.uniform(0.1, 1.0)), int(rng.integers(1, 3))
+        op = hs.build_wnb(v, b1, gamma)
         if op.num_links == 0 or op.num_links > 12:
             continue
         res = hs.leading_eigen(op, tol=1e-12)
-        dense = np.max(np.abs(np.linalg.eigvals(op.matrix.toarray())))
+        dense = np.max(np.abs(np.linalg.eigvals(nb_operator(v, b1, gamma))))
         assert abs(res.lambda_c - dense) <= 1e-8
         assert res.converged
         checked += 1
@@ -357,13 +360,22 @@ def grid(side):
     (hs.Hypergraph(8, [[i, (i + 1) % 8] for i in range(8)] + [[0, 3], [4, 7]]), 60),
 ], ids=["hub_50_four_cycles", "K_2_200", "grid_4x4", "ring_8_two_chords"])
 def test_half_estimate_shift_matches_dense_and_converges_fast(h, max_iters):
-    op = hs.build_wnb(hs.build_adjacency(h), 1.0, 1)
+    v = hs.build_adjacency(h)
+    op = hs.build_wnb(v, 1.0, 1)
     res = hs.leading_eigen(op)
     assert res.converged and res.iterations <= max_iters
-    eig = np.linalg.eigvals(op.matrix.toarray())
+    eig = np.linalg.eigvals(nb_operator(v, 1.0, 1))
     rho = np.abs(eig).max()
     assert abs(res.lambda_c - rho) <= 1e-9 * rho
     assert np.abs(eig + rho).min() <= 1e-9 * rho
+
+
+# leading_eigen takes about 1/gap steps, and a lattice's gap closes like
+# 1/side^2; the counts pin that documented cost, so a solver change shows.
+@pytest.mark.parametrize("side, steps", [(30, 709), (60, 2554)])
+def test_grid_step_count_follows_the_gap(side, steps):
+    res = hs.leading_eigen(hs.build_wnb(hs.build_adjacency(grid(side)), 1.0, 1))
+    assert res.converged and res.iterations == steps
 
 
 def test_half_estimate_shift_on_hub_at_scale():
@@ -387,7 +399,7 @@ def test_ihara_bass_oracle_matches_dense():
         op = hs.build_wnb(v, 1.0, 1)
         if op.num_links == 0:
             continue
-        rho = np.abs(np.linalg.eigvals(op.matrix.toarray())).max()
+        rho = np.abs(np.linalg.eigvals(nb_operator(v, 1.0, 1))).max()
         max_w = v.weighted.data.max()
         try:
             got = ihara_bass_radius(v)
@@ -496,8 +508,8 @@ def test_spectral_json_and_coo_dump(tmp_path):
             continue
         r, c, val = line.split()
         rows.append((int(r), int(c), float(val)))
-    coo = op.matrix.tocoo()
-    assert rows == list(zip(coo.row, coo.col, coo.data))
+    mat = nb_operator(v, 0.5, 1.0)
+    assert rows == [(r, c, mat[r, c]) for r, c in zip(*np.nonzero(mat))]
 
 
 def test_foreign_two_simplex_set_rejected():
