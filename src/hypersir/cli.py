@@ -75,7 +75,7 @@ RESULT_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
-    """One JSON document driving every subcommand; unused keys are inert."""
+    """One JSON document driving every command; unused keys are inert."""
 
     generator: dict | None = None
     dataset: str | None = None
@@ -120,10 +120,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {vals!r}")
         if not (math.isfinite(self.mean_degree) and self.mean_degree > 0):
             raise ValueError(f"mean_degree must be positive, got {self.mean_degree!r}")
-        if self.lambda1 is not None and self.beta1 is not None:
-            raise ValueError("give lambda1 or beta1, not both")
-        if self.lambda2 is not None and self.beta2 is not None:
-            raise ValueError("give lambda2 or beta2, not both")
         unknown = sorted(set(self.methods) - set(KNOWN_METHODS))
         if unknown:
             raise ValueError(f"unknown methods {unknown}; known: {list(KNOWN_METHODS)}")
@@ -133,8 +129,9 @@ class ExperimentConfig:
             vals = getattr(self, key)
             if len(set(vals)) < len(vals):
                 raise ValueError(f"{key} must not repeat entries, got {vals!r}")
-        if self.k_absolute is not None and self.k_percent is not None:
-            raise ValueError("give k_absolute or k_percent, not both")
+        for a, b in (("lambda1", "beta1"), ("lambda2", "beta2"), ("k_absolute", "k_percent")):
+            if getattr(self, a) is not None and getattr(self, b) is not None:
+                raise ValueError(f"give {a} or {b}, not both")
 
 
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -507,40 +504,33 @@ def _flag_kwargs(tp) -> dict:
     return {"type": tp}
 
 
-def _add_flags(p: argparse.ArgumentParser, hints: dict, gen_hints: dict) -> None:
-    """One flag per config field and per generator field, in field order;
-    ``hints`` and ``gen_hints`` are the two classes' resolved annotations."""
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "generator":
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           **_flag_kwargs(hints[f.name]))
-    gen = p.add_argument_group("generator block overrides")
-    for dest, key in GEN_FLAG_KEYS.items():
-        gen.add_argument("--" + dest.replace("_", "-"), dest=dest, **_flag_kwargs(gen_hints[key]))
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: a ``command`` positional, then one
+    flag per config field and per generator field, in field order."""
     parser = argparse.ArgumentParser(
-        prog="hypersir",
+        prog="hypersir", usage="%(prog)s {" + ",".join(COMMANDS) + "} [flags]",
         description="Contagion, thresholds, and seed selection on hypergraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(ExperimentConfig), typing.get_type_hints(GenSpec)
-    for cmd, fn in COMMANDS.items():
-        p = sub.add_parser(cmd)
-        _add_flags(p, *hints)
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file; flags override its keys")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name != "generator":
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                **_flag_kwargs(hints[f.name]))
+    gen_hints = typing.get_type_hints(GenSpec)
+    gen = parser.add_argument_group("generator block overrides")
+    for dest, key in GEN_FLAG_KEYS.items():
+        gen.add_argument("--" + dest.replace("_", "-"), dest=dest, **_flag_kwargs(gen_hints[key]))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "func", "config")}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
-        return args.func(cfg)
+        return COMMANDS[args.command](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -231,6 +231,13 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
     )
 
 
+def _check_stopping(tol: float, max_iters: int) -> None:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not _is_count(max_iters, 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+
+
 def mp_solve(
     view: AdjacencyView,
     simplices: TwoSimplexSet,
@@ -248,10 +255,7 @@ def mp_solve(
     trace, and the stationarity residual at the final point (largest
     violation of the steady-state balance for the S and I messages).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not _is_count(max_iters, 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    _check_stopping(tol, max_iters)
     state = initial_messages(view, simplices, seeds)
     trace: list[float] = []
     delta = 0.0
@@ -400,10 +404,7 @@ def leading_eigen(
     both cases short-circuit to an exact zero radius with an exact
     kernel vector.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not _is_count(max_iters, 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    _check_stopping(tol, max_iters)
     links = op.links
     num_links = links.num_links
     n_comp, _ = connected_components(

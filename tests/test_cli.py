@@ -177,8 +177,9 @@ def test_config_validation():
         ExperimentConfig(methods=["pagerank"]).validate()
     with pytest.raises(ValueError, match="0, 100"):
         ExperimentConfig(k_percent=[0.0]).validate()
-    with pytest.raises(ValueError, match="not both"):
-        ExperimentConfig(lambda1=[1.0], beta1=[0.5]).validate()
+    for pair in (("lambda1", "beta1"), ("lambda2", "beta2"), ("k_absolute", "k_percent")):
+        with pytest.raises(ValueError, match=f"give {pair[0]} or {pair[1]}, not both"):
+            ExperimentConfig(**dict.fromkeys(pair, [1])).validate()
     with pytest.raises(ValueError, match="non-empty"):
         ExperimentConfig(lambda1=[]).validate()
     ExperimentConfig(k_percent=[100.0]).validate()
@@ -201,18 +202,28 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 def test_parser_has_one_flag_per_config_field():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(cli.COMMANDS)
+    parser = cli.build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    (command,) = [a for a in parser._actions if not a.option_strings]
+    assert command.dest == "command" and list(command.choices) == list(cli.COMMANDS)
     want = sorted((cli.CONFIG_KEYS - {"generator"}) | set(cli.GEN_FLAG_KEYS) | {"config"})
     assert "gen_seed" in want and "rng_seed" in want and "family" in want
-    for cmd, parser in sub.choices.items():
-        flags = [a for a in parser._actions if a.dest != "help"]
-        assert sorted(a.dest for a in flags) == want, cmd
-        for a in flags:
-            assert a.option_strings[0] == "--" + a.dest.replace("_", "-"), (cmd, a.dest)
+    flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    assert sorted(a.dest for a in flags) == want
+    for a in flags:
+        assert a.option_strings[0] == "--" + a.dest.replace("_", "-"), a.dest
     with pytest.raises(SystemExit):  # a tuple field takes exactly its length
-        cli.build_parser().parse_args(["generate", "--size-range", "2", "3", "4"])
+        parser.parse_args(["generate", "--size-range", "2", "3", "4"])
+
+
+def test_main_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    monkeypatch.setitem(cli.COMMANDS, "stats", lambda cfg: 0)
+    assert main(["stats", "--dataset", "unused.txt"]) == 0
+    assert built == [1]
 
 
 EVERY_FLAG = [
@@ -262,6 +273,18 @@ def test_spectrum_takes_one_beta1(tmp_path, capsys):
     assert "beta1" in capsys.readouterr().err
     assert not (out / "spectrum.json").exists()
     assert main(["spectrum", "--dataset", tri, "--beta1", "0.4", "--output-dir", str(out)]) == 0
+
+
+def test_cli_dispatch_exit_codes(capsys):
+    for argv in ([], ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(cmd in out for cmd in cli.COMMANDS)
 
 
 def test_cli_error_exit_codes(tmp_path):
