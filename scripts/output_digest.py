@@ -19,7 +19,10 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-five library lines no command writes: ``library/enumerate_two_simplices``
+six library lines no command writes: ``library/giant_component``
+(``edge_ptr``, ``members``, the id map and ``node_labels`` of the
+giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
+with 1,543 components), ``library/enumerate_two_simplices``
 (the six array fields of the triangle set with their dtypes),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
 ``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
@@ -30,7 +33,8 @@ gamma 2), ``library/mp_solve`` (the six state arrays,
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
-infected in some run), all on the generated instance's giant component.
+infected in some run), the last five on the generated instance's giant
+component.
 Two trees produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
@@ -46,8 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hypersir import (EpidemicParams, build_adjacency, build_wnb, enumerate_two_simplices,
-                      giant_component, leading_eigen, load_hyperedge_list, mp_solve, run_sir)
+from hypersir import (EpidemicParams, GenSpec, Hypergraph, build_adjacency, build_wnb,
+                      enumerate_two_simplices, generate, giant_component, leading_eigen,
+                      load_hyperedge_list, mp_solve, run_sir)
 from hypersir.cli import KNOWN_METHODS, main
 
 INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges", "4000",
@@ -123,8 +128,13 @@ def md5_of(*parts) -> str:
 
 
 def library_digest(outdir: Path) -> list[str]:
-    """Digests of the triangle set, a ``leading_eigen`` result, an ``mp_solve``
-    state and two ``run_sir`` ensembles on the instance's GCC."""
+    """Digests of a labelled instance's giant component, then of the triangle
+    set, a ``leading_eigen`` result, an ``mp_solve`` state and two
+    ``run_sir`` ensembles on the generated instance's GCC."""
+    er = generate(GenSpec("erdos_renyi", 3000, 1500, membership_p=0.0006, rng_seed=4))
+    labels = [f"v{i:04d}" for i in range(er.num_nodes)][::-1]  # label order is not id order
+    part, remap = giant_component(Hypergraph.from_arrays(
+        er.num_nodes, np.diff(er.edge_ptr), er.members, labels))
     gcc, _ = giant_component(load_hyperedge_list(outdir / "generate" / "instance.txt"))
     view, simplices = build_adjacency(gcc), enumerate_two_simplices(gcc)
     eig = leading_eigen(build_wnb(view, 0.3, 2))
@@ -138,7 +148,10 @@ def library_digest(outdir: Path) -> list[str]:
              st.residual)
     fields = ("pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b", "node_triple_weight")
     tri = [getattr(simplices, name) for name in fields]
-    return [f"{md5_of(*tri, *(a.dtype.str for a in tri))}  library/enumerate_two_simplices",
+    parts = (part.edge_ptr, part.members, remap)
+    return [f"{md5_of(*parts, *(a.dtype.str for a in parts), part.node_labels)}  "
+            "library/giant_component",
+            f"{md5_of(*tri, *(a.dtype.str for a in tri))}  library/enumerate_two_simplices",
             f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",

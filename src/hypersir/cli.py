@@ -37,7 +37,9 @@ from .hypergraph import (
     AdjacencyView,
     Hypergraph,
     TwoSimplexSet,
+    _check_count,
     _is_count,
+    _is_real,
     build_adjacency,
     enumerate_two_simplices,
     giant_component,
@@ -104,11 +106,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         for key, low in (("runs", 1), ("gamma", 1), ("workers", 1), ("bench_repeats", 1),
                          ("rng_seed", 0), ("size_cap", 0)):
-            val = getattr(self, key)
-            if not _is_count(val, low):
-                raise ValueError(f"{key} must be an integer >= {low}, got {val!r}")
-        rate = (lambda v: math.isfinite(v) and v >= 0, "finite numbers >= 0")
-        percent = (lambda v: 0 < v <= 100, "numbers in (0, 100]")
+            _check_count(key, getattr(self, key), low)
+        rate = (lambda v: _is_real(v) and v >= 0, "finite numbers >= 0")
+        percent = (lambda v: _is_real(v) and 0 < v <= 100, "numbers in (0, 100]")
         for key, (ok, what) in (("lambda1", rate), ("lambda2", rate), ("beta1", rate),
                                 ("beta2", rate), ("k_percent", percent), ("n_grid", percent),
                                 ("k_absolute", (lambda k: _is_count(k, 0), "integers >= 0")),
@@ -118,8 +118,8 @@ class ExperimentConfig:
                 continue  # an optional grid left out
             if not vals or not all(map(ok, vals)):
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {vals!r}")
-        if not (math.isfinite(self.mean_degree) and self.mean_degree > 0):
-            raise ValueError(f"mean_degree must be positive, got {self.mean_degree!r}")
+        if not (_is_real(self.mean_degree) and self.mean_degree > 0):
+            raise ValueError(f"mean_degree must be positive and finite, got {self.mean_degree!r}")
         unknown = sorted(set(self.methods) - set(KNOWN_METHODS))
         if unknown:
             raise ValueError(f"unknown methods {unknown}; known: {list(KNOWN_METHODS)}")
@@ -393,6 +393,8 @@ def _bench_instance(cfg: ExperimentConfig, n: int) -> PreparedInput:
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
+    if len(cfg.sizes) < 2:  # checked before any timing, since the fit needs two points
+        raise ValueError(f"bench needs at least two sizes to fit a slope, got {cfg.sizes}")
     rows = []
     times: dict[str, list[float]] = {m: [] for m in cfg.methods}
     for n in cfg.sizes:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _is_count
+from .hypergraph import Hypergraph, _check_count, _is_count, _is_real
 
 __all__ = ["GenSpec", "generate", "gen_sf_chunglu", "gen_er_bipartite", "gen_d_uniform"]
 
@@ -50,18 +50,17 @@ class GenSpec:
             raise ValueError(f"unknown family: {self.family!r}")
         for key, low in (("num_nodes", 1), ("num_hyperedges", 1), ("uniform_size", 2),
                          ("rng_seed", 0)):
-            val = getattr(self, key)
-            if not _is_count(val, low):
-                raise ValueError(f"{key} must be an integer >= {low}, got {val!r}")
+            _check_count(key, getattr(self, key), low)
         for key in ("degree_range", "size_range"):
             bounds = getattr(self, key)
             if not (len(bounds) == 2 and _is_count(bounds[0], 1)
                     and (bounds[1] is None or _is_count(bounds[1], bounds[0]))):
                 raise ValueError(f"{key} must be two integers 1 <= low <= high (high may be "
                                  f"None), got {bounds!r}")
-        if self.family == SCALE_FREE and not self.exponent > 1.0:  # also refuses NaN
-            raise ValueError("power-law exponent must be > 1")
-        if self.family == ERDOS_RENYI and not 0.0 <= self.membership_p <= 1.0:
+        if self.family == SCALE_FREE and not (_is_real(self.exponent) and self.exponent > 1.0):
+            raise ValueError(f"power-law exponent must be > 1 and finite, got {self.exponent!r}")
+        if self.family == ERDOS_RENYI and not (_is_real(self.membership_p)
+                                               and 0.0 <= self.membership_p <= 1.0):
             raise ValueError("membership_p must lie in [0, 1]")
         if self.family == D_UNIFORM and self.uniform_size > self.num_nodes:
             raise ValueError("uniform_size must lie in [2, num_nodes]")

@@ -14,6 +14,7 @@ of the weighted adjacency and of the triangle tensor.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, pairwise, repeat
@@ -48,6 +49,30 @@ def _is_integer(value) -> bool:
 def _is_count(value, low: int) -> bool:
     """Whether value is an integer (not a bool) of at least low."""
     return _is_integer(value) and value >= low
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """ValueError naming ``name`` unless value is an integer (not a bool) >= low."""
+    if not _is_count(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number (not a bool) that is finite as a float;
+    every rate, probability, percentage and tolerance must be one."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_rates(beta1: float, gamma: float) -> None:
+    """The rates of the link operator: beta1 >= 0 and gamma >= 1, both finite."""
+    if not (_is_real(beta1) and beta1 >= 0):
+        raise ValueError(f"beta1 must be nonnegative and finite, got {beta1!r}")
+    if not (_is_real(gamma) and gamma >= 1):
+        raise ValueError(f"gamma must be at least 1 and finite, got {gamma!r}")
 
 
 def _int64_array(values, what: str, owner) -> np.ndarray:
@@ -106,8 +131,7 @@ class Hypergraph:
         return h
 
     def _store(self, num_nodes, sizes, members, node_labels) -> None:
-        if not _is_count(num_nodes, 0):
-            raise ValueError(f"num_nodes must be an integer >= 0, got {num_nodes!r}")
+        _check_count("num_nodes", num_nodes, 0)
         sizes = _int64_array(sizes, "size", int)
         if (sizes < 0).any() or sizes.sum() != len(members):
             raise ValueError("hyperedge sizes must be nonnegative and sum to the member count")
@@ -338,22 +362,21 @@ def giant_component(h: Hypergraph) -> tuple[Hypergraph, np.ndarray]:
 
     Returns the component as a hypergraph with nodes relabeled
     contiguously (ascending old id), plus the old-to-new id map
-    (-1 for dropped nodes).  Hyperedges are restricted to surviving
-    nodes; ones that become empty are dropped.
+    (-1 for dropped nodes).  A hyperedge never spans two components, so
+    the component's hyperedges are kept whole and the others dropped.
     """
-    if h.num_nodes == 0:
-        return Hypergraph(0, (), h.node_labels), np.empty(0, dtype=np.int64)
-    inc = h.incidence()
-    n_comp, comp = connected_components(inc @ inc.T, directed=False)
-    keep = comp == np.bincount(comp, minlength=n_comp).argmax()
-    n_keep = int(keep.sum())
-    remap = np.full(h.num_nodes, -1, dtype=np.int64)
-    remap[keep] = np.arange(n_keep, dtype=np.int64)
-    kept = keep[h.members]
-    sizes = np.bincount(np.repeat(np.arange(h.num_hyperedges), np.diff(h.edge_ptr))[kept],
-                        minlength=h.num_hyperedges)
+    sizes = np.diff(h.edge_ptr)
+    first = h.members[h.edge_ptr[:-1]]
+    # each hyperedge's star, member -> first member; bool sums of duplicates never wrap to 0
+    star = sp.csr_matrix((np.ones(len(h.members), dtype=bool),
+                          (h.members, np.repeat(first, sizes))), shape=(h.num_nodes,) * 2)
+    comp = connected_components(star, directed=False)[1]
+    keep = comp == np.bincount(comp, minlength=1).argmax()  # minlength for a graph of no nodes
+    remap = np.where(keep, keep.cumsum() - 1, -1)
+    kept = keep[first]
     names = None if h.node_labels is None else tuple(compress(h.node_labels, keep))
-    return Hypergraph.from_arrays(n_keep, sizes[sizes > 0], remap[h.members[kept]], names), remap
+    members = remap[h.members[np.repeat(kept, sizes)]]
+    return Hypergraph.from_arrays(int(keep.sum()), sizes[kept], members, names), remap
 
 
 def simplex_densities(h: Hypergraph,

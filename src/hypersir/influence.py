@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import AdjacencyView, _is_count
-from .message_passing import _check_rates
+from .hypergraph import AdjacencyView, _check_count, _check_rates, _is_real
 
 __all__ = [
     "collective_influence",
@@ -62,8 +61,7 @@ def ranked_nodes(view: AdjacencyView, scores: np.ndarray) -> np.ndarray:
 
 
 def _check_k(view: AdjacencyView, k: int) -> None:
-    if not _is_count(k, 0):
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    _check_count("k", k, 0)
     if k > view.num_nodes:
         raise ValueError(f"k={k} exceeds the {view.num_nodes} available nodes")
 
@@ -164,7 +162,7 @@ def top_overlap_probability(view: AdjacencyView, scores: np.ndarray,
 
 def top_overlap_curve(view: AdjacencyView, scores: np.ndarray, n_grid) -> list[float]:
     """:func:`top_overlap_probability` at each n% of ``n_grid``, ranking once."""
-    if not all(0 < n_percent <= 100 for n_percent in n_grid):
+    if not all(_is_real(n_percent) and 0 < n_percent <= 100 for n_percent in n_grid):
         raise ValueError("n_percent must lie in (0, 100]")
     order = ranked_nodes(view, scores)
     curve = []

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .hypergraph import AdjacencyView, LinkIndex, TwoSimplexSet, _is_count, build_link_index
+from .hypergraph import (AdjacencyView, LinkIndex, TwoSimplexSet, _check_count, _check_rates,
+                         _is_real, build_link_index)
 from .sir import I, EpidemicParams, initial_state
 
 __all__ = [
@@ -232,10 +233,9 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
 
 
 def _check_stopping(tol: float, max_iters: int) -> None:
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not _is_count(max_iters, 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    if not (_is_real(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_count("max_iters", max_iters, 1)
 
 
 def mp_solve(
@@ -339,13 +339,6 @@ class WnbOperator:
             fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{r} {c} {v:.17g}\n")
-
-
-def _check_rates(beta1: float, gamma: float) -> None:
-    if not beta1 >= 0:  # also refuses NaN, as the gamma test does
-        raise ValueError("beta1 must be nonnegative")
-    if not gamma >= 1:
-        raise ValueError("gamma must be at least 1")
 
 
 def build_wnb(view: AdjacencyView, beta1: float, gamma: float) -> WnbOperator:

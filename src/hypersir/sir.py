@@ -16,7 +16,6 @@ and the block's uniforms.  Ended runs leave the state; ``step`` runs it on one r
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from itertools import count
@@ -25,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_io import write_csv
-from .hypergraph import AdjacencyView, TwoSimplexSet, _is_count, _is_integer
+from .hypergraph import (AdjacencyView, TwoSimplexSet, _check_count, _is_count, _is_integer,
+                         _is_real)
 
 __all__ = [
     "EpidemicParams",
@@ -66,16 +66,13 @@ class EpidemicParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 <= 1.0:
-            raise ValueError("beta1 must lie in [0, 1]")
-        if not 0.0 <= self.beta2 <= 1.0:
-            raise ValueError("beta2 must lie in [0, 1]")
-        if not _is_count(self.gamma, 1):
-            raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
+        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not (_is_real(beta) and 0.0 <= beta <= 1.0):
+                raise ValueError(f"{key} must lie in [0, 1]")
+        _check_count("gamma", self.gamma, 1)
         if self.t_max is not None and not _is_count(self.t_max, 0):
             raise ValueError(f"t_max must be None or an integer >= 0, got {self.t_max!r}")
-        if not _is_count(self.rng_seed, 0):
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        _check_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass
@@ -172,17 +169,6 @@ def _channels(view: AdjacencyView, simplices: TwoSimplexSet, beta1: float, beta2
                              len(simplices.pair_a), simplices.node_triple_weight, beta2)
 
 
-def _pressure(operator, sources, x):
-    """operator[:, sources] @ x for the sources' states x; a slice means all columns."""
-    if isinstance(sources, slice):
-        return operator @ x
-    lo, hi = operator.indptr.take(sources), operator.indptr.take(sources + 1)
-    ptr = np.concatenate(([0], np.cumsum(hi - lo)))
-    at = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], hi - lo)
-    return sp.csc_matrix((operator.data.take(at), operator.indices.take(at), ptr),
-                         shape=(operator.shape[0], len(sources))) @ x
-
-
 def _advance(status, age, u, channels, simplices, gamma):
     """One synchronous update, in place, of (R, N) arrays, given uniforms u.
 
@@ -196,17 +182,15 @@ def _advance(status, age, u, channels, simplices, gamma):
     by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout sparse products take
     hot = by_node.any(axis=1)
     few = np.count_nonzero(hot) < _SOURCE_SHARE * len(hot)
-    nodes = np.flatnonzero(hot) if few else slice(None)
     (adjacency, escape1), triangle = channels
-    if triangle is None:
-        p_inf = (1.0 - escape1).take(_pressure(adjacency, nodes, by_node[nodes]))
-    else:
+    escape = escape1.take(adjacency[:, hot] @ by_node[hot] if few else adjacency @ by_node)
+    if triangle is not None:
         by_pair, escape2 = triangle
         a, b = simplices.pair_a, simplices.pair_b
         pairs = np.flatnonzero(hot.take(a) & hot.take(b)) if few else slice(None)
         both = by_node.take(a[pairs], axis=0) & by_node.take(b[pairs], axis=0)
-        p_inf = 1.0 - (escape1.take(_pressure(adjacency, nodes, by_node[nodes]))
-                       * escape2.take(_pressure(by_pair, pairs, both)))
+        escape *= escape2.take(by_pair[:, pairs] @ both if few else by_pair @ both)
+    p_inf = 1.0 - escape
     newly = (status == S) & (u < p_inf.T)
     recover = infected & (age >= gamma - 1)
     age += infected & ~recover
@@ -240,8 +224,7 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
     Ended runs leave the state; runs still infectious at t_max are
     flagged non-absorbed.
     """
-    if not _is_count(runs, 1):
-        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+    _check_count("runs", runs, 1)
     n = view.num_nodes
     t_max = params.t_max if params.t_max is not None else 10 * n
 
@@ -276,18 +259,20 @@ def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
     beta1 = lambda1 * mu / k1 and beta2 = lambda2 * mu / k2 with
     mu = 1/gamma, where k1 is the mean weighted degree and k2 the mean
     per-node triangle weight.  gamma is an integer >= 1, as in
-    :class:`EpidemicParams`; a NaN k, or a k <= 0 under a positive
-    lambda, is refused.  Values above 1 are clamped with a warning.
+    :class:`EpidemicParams`; a non-finite lambda or k, or a k <= 0 under a
+    positive lambda, is refused.  Values above 1 are clamped with a warning.
     """
-    if not _is_count(gamma, 1):
-        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
-    if not (lambda1 >= 0.0 and lambda2 >= 0.0):  # also catches NaN
-        raise ValueError(f"lambda1 and lambda2 must be nonnegative, got {lambda1}, {lambda2}")
+    _check_count("gamma", gamma, 1)
+    if not all(_is_real(lam) and lam >= 0.0 for lam in (lambda1, lambda2)):
+        raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, "
+                         f"got {lambda1}, {lambda2}")
     mu, betas = 1.0 / gamma, []
     for c, lam, k, fault in ((1, lambda1, k1, "k1 must be positive when lambda1 > 0"),
                              (2, lambda2, k2, "no triangles to carry lambda2 > 0")):
-        if math.isnan(k) or (lam > 0.0 and not k > 0.0):
-            raise ValueError(f"k{c} must not be NaN" if math.isnan(k) else fault)
+        if not _is_real(k):
+            raise ValueError(f"k{c} must not be NaN or infinite, got {k!r}")
+        if lam > 0.0 and not k > 0.0:
+            raise ValueError(fault)
         beta = lam * mu / k if lam > 0.0 else 0.0
         if beta > 1.0:
             warnings.warn(f"beta{c} = {beta:.4g} clamped to 1")

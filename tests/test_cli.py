@@ -327,12 +327,18 @@ def test_cli_error_exit_codes(tmp_path):
     {"generator": {"family": "scale_free", "num_nodes": 50, "num_hyperedges": 60,
                    "exponent": float("nan")}},
     {"use_gcc": False},  # removed: every command works on the giant component
+    {"beta1": None, "lambda1": [True]},
+    {"k_absolute": None, "k_percent": [True]},
+    {"n_grid": [True]},
+    {"mean_degree": True},
+    {"beta1": None, "lambda1": [10 ** 400]},  # too large for a float
 ], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
         "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
         "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
         "negative_mean_degree", "repeated_methods", "repeated_sizes", "er_float_hyperedges",
         "uniform_float_hyperedges", "float_gen_seed", "float_degree_range", "nan_exponent",
-        "removed_use_gcc"])
+        "removed_use_gcc", "bool_lambda1", "bool_k_percent", "bool_n_grid", "bool_mean_degree",
+        "huge_int_lambda1"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
     # malformed value can make the run exit 2; the error names it (the
@@ -462,6 +468,14 @@ def test_bench_smoke(tmp_path):
     fits = (out / "bench_fit.csv").read_text().splitlines()
     assert fits[1] == "method,slope,intercept"
     assert len(fits) == 4
+
+
+def test_bench_refuses_one_size_before_timing(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "select_seeds", lambda *args: calls.append(args))
+    out = tmp_path / "b"
+    assert main(["bench", "--sizes", "200", "--output-dir", str(out)]) == 2
+    assert calls == [] and not out.exists()
 
 
 def test_loglog_fit_sanity():

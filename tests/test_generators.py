@@ -43,10 +43,12 @@ def test_genspec_validation():
     ("scale_free", {"size_range": (2, 4, 6)}, "size_range must be two integers"),
     ("scale_free", {"exponent": float("nan")}, "exponent must be > 1"),
     ("erdos_renyi", {"membership_p": float("nan")}, "membership_p must lie in"),
+    ("scale_free", {"exponent": float("inf")}, "exponent must be > 1"),
+    ("erdos_renyi", {"membership_p": True}, "membership_p must lie in"),
 ], ids=["er_float_m", "uniform_float_m", "zero_m", "bool_m", "float_n", "zero_n",
         "float_seed", "negative_seed", "float_uniform_size", "float_degree_low",
         "zero_degree_low", "size_range_reversed", "float_size_high", "three_bounds",
-        "nan_exponent", "nan_membership_p"])
+        "nan_exponent", "nan_membership_p", "inf_exponent", "bool_membership_p"])
 def test_genspec_refuses_malformed_fields(family, kw, match):
     fields = {"num_nodes": 10, "num_hyperedges": 5, **kw}
     with pytest.raises(ValueError, match=match):

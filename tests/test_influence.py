@@ -129,7 +129,11 @@ NAN = float("nan")
     (0.5, NAN, "gamma must be at least 1"),
     (0.5, 0.5, "gamma must be at least 1"),
     (0.5, 0, "gamma must be at least 1"),
-], ids=["nan_beta1", "negative_beta1", "nan_gamma", "gamma_half", "gamma_0"])
+    (float("inf"), 1, "beta1 must be nonnegative"),
+    (0.5, float("inf"), "gamma must be at least 1"),
+    (True, 1, "beta1 must be nonnegative"),
+], ids=["nan_beta1", "negative_beta1", "nan_gamma", "gamma_half", "gamma_0", "inf_beta1",
+        "inf_gamma", "bool_beta1"])
 def test_collective_influence_refuses_what_build_wnb_refuses(beta1, gamma, match):
     v = view_of(3, [[0, 1, 2]])
     for call in (lambda: hs.collective_influence(v, beta1, gamma),
@@ -237,6 +241,8 @@ def test_top_overlap_validates_percent():
         hs.top_overlap_probability(v, ci, 101)
     with pytest.raises(ValueError):
         hs.top_overlap_curve(v, ci, [5.0, 101])
+    with pytest.raises(ValueError):
+        hs.top_overlap_curve(v, ci, [True])
 
 
 def test_removing_top_scorer_deflates_threshold_more():

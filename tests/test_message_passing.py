@@ -588,10 +588,11 @@ def test_solve_argument_validation():
         hs.mp_solve(v, ts, par, [0], tol=0.0)
     with pytest.raises(ValueError):
         hs.mp_solve(v, ts, par, [0], max_iters=0)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        hs.mp_solve(v, ts, par, [0], tol=math.nan)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        hs.leading_eigen(hs.build_wnb(v, 0.5, 1), tol=math.nan)
+    for tol in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hs.mp_solve(v, ts, par, [0], tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hs.leading_eigen(hs.build_wnb(v, 0.5, 1), tol=tol)
     with pytest.raises(ValueError, match="beta1 must be nonnegative"):
         hs.build_wnb(v, math.nan, 1)
     for gamma in (0, -1, 0.5, math.nan):

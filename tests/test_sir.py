@@ -21,6 +21,9 @@ def test_params_validation():
         hs.EpidemicParams(beta1=1.5)
     with pytest.raises(ValueError):
         hs.EpidemicParams(beta1=0.5, beta2=-0.1)
+    for key in ("beta1", "beta2"):
+        with pytest.raises(ValueError, match=f"{key} must lie in"):
+            hs.EpidemicParams(**{"beta1": 0.5, key: True})
     with pytest.raises(ValueError):
         hs.EpidemicParams(beta1=0.5, gamma=0)
     for t_max in (-3, 2.5, 2.0, True):
@@ -274,8 +277,11 @@ NAN = float("nan")
     ((1.0, 0.0, -2.0, 1.0), {}, "k1 must be positive"),
     ((0.0, 1.0, 1.0, NAN), {}, "k2 must not be NaN"),
     ((0.0, 1.0, 1.0, -1.0), {}, "no triangles"),
+    ((float("inf"), 0.0, 2.0, 1.0), {}, "lambda1 and lambda2 must be nonnegative"),
+    ((True, 0.0, 2.0, 1.0), {}, "lambda1 and lambda2 must be nonnegative"),
+    ((1.0, 0.0, float("inf"), 1.0), {}, "k1 must not be NaN"),
 ], ids=["gamma_0", "gamma_negative", "gamma_float", "gamma_bool", "nan_k1", "nan_k1_unused",
-        "negative_k1", "nan_k2", "negative_k2"])
+        "negative_k1", "nan_k2", "negative_k2", "inf_lambda1", "bool_lambda1", "inf_k1"])
 def test_rescale_params_refuses(args, kw, match):
     with pytest.raises(ValueError, match=match):
         hs.rescale_params(*args, **kw)
