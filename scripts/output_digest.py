@@ -19,11 +19,15 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-six library lines no command writes: ``library/giant_component``
+seven library lines no command writes: ``library/giant_component``
 (``edge_ptr``, ``members``, the id map and ``node_labels`` of the
 giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
 with 1,543 components), ``library/enumerate_two_simplices``
 (the six array fields of the triangle set with their dtypes),
+``library/enumerate_two_simplices_multi`` (the same at ``size_cap`` 25
+and 3 on a seeded multigraph of 300 nodes and 600 hyperedges of 2 to 6
+nodes, five of them repeated 300 times and twenty of them twice, so
+that triple weights run past 255),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
 ``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
 gamma 2), ``library/mp_solve`` (the six state arrays,
@@ -34,7 +38,7 @@ blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
 infected in some run), the last five on the generated instance's giant
-component.
+component (the multigraph aside).
 Two trees produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
@@ -127,10 +131,32 @@ def md5_of(*parts) -> str:
     return md5.hexdigest()
 
 
+TRIANGLE_FIELDS = ("pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b",
+                   "node_triple_weight")
+
+
+def triangle_md5(simplices) -> str:
+    """md5 of the six array fields of a triangle set and their dtypes."""
+    tri = [getattr(simplices, name) for name in TRIANGLE_FIELDS]
+    return md5_of(*tri, *(a.dtype.str for a in tri))
+
+
+def multigraph() -> Hypergraph:
+    """300 nodes, 600 seeded hyperedges of 2-6 nodes, five of them repeated
+    300 times and twenty twice."""
+    rng = np.random.default_rng(25)
+    edges = [rng.choice(300, int(rng.integers(2, 7)), replace=False).tolist()
+             for _ in range(600)]
+    edges += [edges[i] for i in range(5) for _ in range(299)]
+    edges += [edges[i] for i in range(5, 25)]
+    return Hypergraph(300, edges)
+
+
 def library_digest(outdir: Path) -> list[str]:
     """Digests of a labelled instance's giant component, then of the triangle
     set, a ``leading_eigen`` result, an ``mp_solve`` state and two
-    ``run_sir`` ensembles on the generated instance's GCC."""
+    ``run_sir`` ensembles on the generated instance's GCC, with the triangle
+    sets of a multigraph after the first."""
     er = generate(GenSpec("erdos_renyi", 3000, 1500, membership_p=0.0006, rng_seed=4))
     labels = [f"v{i:04d}" for i in range(er.num_nodes)][::-1]  # label order is not id order
     part, remap = giant_component(Hypergraph.from_arrays(
@@ -146,12 +172,14 @@ def library_digest(outdir: Path) -> list[str]:
                      runs=20)
     state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
              st.residual)
-    fields = ("pair_weight", "pair_center", "pair_ptr", "pair_a", "pair_b", "node_triple_weight")
-    tri = [getattr(simplices, name) for name in fields]
+    multi = multigraph()
     parts = (part.edge_ptr, part.members, remap)
     return [f"{md5_of(*parts, *(a.dtype.str for a in parts), part.node_labels)}  "
             "library/giant_component",
-            f"{md5_of(*tri, *(a.dtype.str for a in tri))}  library/enumerate_two_simplices",
+            f"{triangle_md5(simplices)}  library/enumerate_two_simplices",
+            f"{triangle_md5(enumerate_two_simplices(multi))} "
+            f"{triangle_md5(enumerate_two_simplices(multi, size_cap=3))}  "
+            "library/enumerate_two_simplices_multi",
             f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",

@@ -47,14 +47,14 @@ def _is_integer(value) -> bool:
 
 
 def _is_count(value, low: int) -> bool:
-    """Whether value is an integer (not a bool) of at least low."""
-    return _is_integer(value) and value >= low
+    """Whether value is an integer (not a bool) of at least low that fits int64."""
+    return _is_integer(value) and low <= value < 2**63
 
 
 def _check_count(name: str, value, low: int) -> None:
-    """ValueError naming ``name`` unless value is an integer (not a bool) >= low."""
+    """ValueError naming ``name`` unless ``_is_count(value, low)``."""
     if not _is_count(value, low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {low} and below 2**63, got {value!r}")
 
 
 def _is_real(value) -> bool:
@@ -225,15 +225,17 @@ class TwoSimplexSet:
     message passing read them.
 
     A triple is present iff at least one hyperedge contains all three
-    nodes; its weight counts such hyperedges.  Each triple is held once
-    per member node, the center, grouped by the sorted distinct pairs
-    ``pair_a/pair_b`` of the other two members: (pair_weight,
-    pair_center, pair_ptr) is the CSC form of the N x P center-by-pair
-    weight matrix, with 3 rows per triple.
+    nodes; its weight counts such hyperedges.  The set is the N x P
+    center-by-pair count matrix in scipy's canonical CSC form
+    (pair_weight, pair_center, pair_ptr): column p is the distinct pair
+    ``pair_a[p] < pair_b[p]``, pairs in ascending order, and its entries
+    are the third members (the centers) of the triples holding that pair,
+    ascending, each with its triple's weight.  Each triple is held once
+    per member, so the matrix has 3 entries per triple.
     """
 
-    pair_weight: np.ndarray      # (3T,) triple weight per expanded row, grouped by pair
-    pair_center: np.ndarray      # (3T,) center per row, by pair, ascending; int32 if it fits
+    pair_weight: np.ndarray      # (3T,) triple weight per entry, grouped by pair
+    pair_center: np.ndarray      # (3T,) center per entry, ascending per pair; int32 if it fits
     pair_ptr: np.ndarray         # (P+1,) CSC pointer by pair, of pair_center's dtype
     pair_a: np.ndarray           # (P,) first member of each distinct pair
     pair_b: np.ndarray           # (P,) second member, pair_a < pair_b
@@ -259,7 +261,11 @@ def enumerate_two_simplices(
 
     Every 3-subset of every hyperedge is a triple, except in the
     hyperedges :func:`oversized_hyperedges` marks; those still
-    contribute pairwise adjacency elsewhere.
+    contribute pairwise adjacency elsewhere.  The set is built as the
+    center-by-pair count matrix: each (hyperedge, 3-subset) row adds a 1
+    at (center, pair of the other two) for each of its three members, and
+    scipy's canonical CSC form sums those duplicates into the triple
+    weights and sorts each pair's centers.
     """
     sizes = np.diff(h.edge_ptr)
     counted = (sizes >= 3) & ~oversized_hyperedges(h, size_cap)
@@ -269,39 +275,31 @@ def enumerate_two_simplices(
             .take(list(combinations(range(s), 3)), axis=1).reshape(-1, 3)
             for s in np.unique(sizes[counted]).tolist()]
     rows = np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int64)
-    # Sort the rows; each run of equal rows is one triple, its length the weight.
-    rows = rows.take(np.lexsort(rows.T[::-1]), axis=0)
-    bounds = np.empty(len(rows) + 1, dtype=bool)
-    bounds[0] = bounds[-1] = True
-    bounds[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
-    bounds = bounds.nonzero()[0]
-    triples = rows.take(bounds[:-1], axis=0)
-    weights = bounds[1:] - bounds[:-1]
-    # a node's triple weight counts the (hyperedge, 3-subset) rows holding it
-    node_triple_weight = np.bincount(rows.ravel(), minlength=h.num_nodes)
-    del rows  # free before expanding, which sets the peak memory
-    # Expand each triple once per member, member-major: row m*T + t has
-    # member m of triple t as center and the other two, a < b < N, as its
-    # pair, keyed by the order-preserving a*N + b (int64 holds it for N up
-    # to 3e9).  For one pair the centers of block 0 lie below a, those of
-    # block 1 between a and b and those of block 2 above b, each block in
-    # ascending order since the triples are sorted; so a stable sort by
-    # pair key also sorts each pair's rows by center.
+    # Each row (i, j, k) gives three entries, member-major: center i with
+    # the pair (j, k), then j with (i, k) and k with (i, j), each pair
+    # a < b < N keyed by the order-preserving a*N + b (int64 holds it for N
+    # up to 3e9).  The keys hold the rows, so the rows are freed before
+    # np.unique sets the peak memory and the centers are read back after.
     span = max(h.num_nodes, 1)
-    keys = np.ravel(triples.T[[1, 0, 0]] * span + triples.T[[2, 2, 1]])
-    order = keys.argsort(kind="stable")
-    keys = keys.take(order)
-    heads = np.flatnonzero(np.diff(keys, prepend=-1))  # first row of each pair; keys >= 0
-    pair_a, pair_b = np.divmod(keys.take(heads), span)
-    index = np.int32 if max(h.num_nodes, len(keys)) <= np.iinfo(np.int32).max else np.int64
+    keys = np.ravel(rows.T[[1, 0, 0]] * span + rows.T[[2, 2, 1]])
+    del rows
+    pairs, pair = np.unique(keys, return_inverse=True)
+    quot, rem = np.divmod(keys.reshape(3, -1)[:2], span)  # [j, i] and [k, k]
+    centers = np.concatenate((quot[1], quot[0], rem[0]))
+    del keys, quot, rem
+    # the duplicate entries, one per hyperedge holding a triple, sum to its weight
+    counts = sp.csc_matrix((np.ones(len(centers), dtype=np.int64), (centers, pair)),
+                           shape=(h.num_nodes, len(pairs)))
+    pair_a, pair_b = np.divmod(pairs, span)
 
     return TwoSimplexSet(
-        pair_weight=np.tile(weights, 3).take(order),
-        pair_center=triples.T.ravel().take(order).astype(index),
-        pair_ptr=np.append(heads, len(keys)).astype(index),
+        pair_weight=counts.data,
+        pair_center=counts.indices,
+        pair_ptr=counts.indptr,
         pair_a=pair_a,
         pair_b=pair_b,
-        node_triple_weight=node_triple_weight,
+        # a node's triple weight counts the (hyperedge, 3-subset) rows holding it
+        node_triple_weight=np.bincount(centers, minlength=h.num_nodes),
     )
 
 

@@ -298,6 +298,10 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["bench", "--sizes", "60", "60", "--output-dir", str(tmp_path / "b")]) == 2
     assert main(["bench", "--methods", "cia", "cia", "--output-dir", str(tmp_path / "b")]) == 2
     assert main(["generate", "--family", "bogus", "--num-nodes", "5"]) == 2
+    assert main(["generate", "--family", "erdos_renyi", "--num-nodes", str(10 ** 23),
+                 "--num-hyperedges", "5", "--membership-p", "0.1",
+                 "--output-dir", str(tmp_path / "g")]) == 2  # a count past int64
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -332,13 +336,15 @@ def test_cli_error_exit_codes(tmp_path):
     {"n_grid": [True]},
     {"mean_degree": True},
     {"beta1": None, "lambda1": [10 ** 400]},  # too large for a float
+    {"gamma": 10 ** 400},
+    {"runs": 10 ** 23},  # counts must fit int64
 ], ids=["unknown_generator_key", "string_runs", "float_runs", "float_gamma", "bool_runs",
         "negative_lambda1", "nan_lambda2", "negative_beta1", "infinite_beta2",
         "float_k_absolute", "bool_k_absolute", "size_below_2", "zero_mean_degree",
         "negative_mean_degree", "repeated_methods", "repeated_sizes", "er_float_hyperedges",
         "uniform_float_hyperedges", "float_gen_seed", "float_degree_range", "nan_exponent",
         "removed_use_gcc", "bool_lambda1", "bool_k_percent", "bool_n_grid", "bool_mean_degree",
-        "huge_int_lambda1"])
+        "huge_int_lambda1", "huge_int_gamma", "huge_int_runs"])
 def test_malformed_config_exits_2(tmp_path, capsys, doc):
     # the other keys are valid and the dataset is readable, so only the
     # malformed value can make the run exit 2; the error names it (the

@@ -33,6 +33,7 @@ def test_genspec_validation():
     ("d_uniform", {"num_hyperedges": True}, "num_hyperedges must be an integer >= 1"),
     ("scale_free", {"num_nodes": 10.0}, "num_nodes must be an integer >= 1"),
     ("scale_free", {"num_nodes": 0}, "num_nodes must be an integer >= 1"),
+    ("erdos_renyi", {"num_nodes": 10**23}, "num_nodes must be an integer >= 1"),
     ("scale_free", {"rng_seed": 1.5}, "rng_seed must be an integer >= 0"),
     ("scale_free", {"rng_seed": -1}, "rng_seed must be an integer >= 0"),
     ("d_uniform", {"uniform_size": 3.0}, "uniform_size must be an integer >= 2"),
@@ -45,7 +46,7 @@ def test_genspec_validation():
     ("erdos_renyi", {"membership_p": float("nan")}, "membership_p must lie in"),
     ("scale_free", {"exponent": float("inf")}, "exponent must be > 1"),
     ("erdos_renyi", {"membership_p": True}, "membership_p must lie in"),
-], ids=["er_float_m", "uniform_float_m", "zero_m", "bool_m", "float_n", "zero_n",
+], ids=["er_float_m", "uniform_float_m", "zero_m", "bool_m", "float_n", "zero_n", "huge_n",
         "float_seed", "negative_seed", "float_uniform_size", "float_degree_low",
         "zero_degree_low", "size_range_reversed", "float_size_high", "three_bounds",
         "nan_exponent", "nan_membership_p", "inf_exponent", "bool_membership_p"])

@@ -271,6 +271,8 @@ def test_two_simplices_match_dict_oracle(kw):
     assert_two_simplices_match_oracle(hs.Hypergraph(0), **kw)
     assert_two_simplices_match_oracle(hs.Hypergraph(6), **kw)
     assert_two_simplices_match_oracle(hs.Hypergraph(6, [(0,), (1, 2), (3, 4), (1, 2)]), **kw)
+    # one hyperedge 300 times: weights past 255, one of them summed with a 3-node edge
+    assert_two_simplices_match_oracle(hs.Hypergraph(6, [(1, 2, 4, 5)] * 300 + [(2, 4, 5)]), **kw)
 
 
 def test_two_simplices_with_node_ids_past_packed_key_range():

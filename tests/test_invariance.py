@@ -13,7 +13,9 @@ Not covered: a fault that is the same under every labelling (one that
 depends on the values, not on the ids, such as swapping the two cavity
 exclusion lists, which are summed alike); the order of a pair's rows,
 which the triangle set decodes as a set and which moves the cavity sums
-only by rounding; the id tie-breaks of ``hadp`` / ``hsdp`` and of
+only by rounding (that order now comes from scipy's canonical CSC form,
+so there is no longer a hand-written stable sort for a mutation to make
+non-stable); the id tie-breaks of ``hadp`` / ``hsdp`` and of
 ``cia_select`` on tied scores; and ``run_sir``, whose uniforms are drawn
 per (run, node) column, so a relabel changes the samples and only a
 statistical comparison would remain.

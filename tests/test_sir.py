@@ -30,9 +30,10 @@ def test_params_validation():
         with pytest.raises(ValueError, match="t_max must be None or an integer >= 0"):
             hs.EpidemicParams(beta1=0.5, t_max=t_max)
     assert hs.EpidemicParams(beta1=0.5, t_max=np.int64(0)).t_max == 0
-    for gamma in (0, 2.0, 1.5, True):
+    for gamma in (0, 2.0, 1.5, True, 10**400):
         with pytest.raises(ValueError, match="gamma must be an integer >= 1"):
             hs.EpidemicParams(beta1=0.5, gamma=gamma)
+    assert hs.EpidemicParams(beta1=0.5, gamma=2**63 - 1).gamma == 2**63 - 1  # int64's largest
     for rng_seed in (-1, 1.5, 2.0, True, None):
         with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
             hs.EpidemicParams(beta1=0.5, rng_seed=rng_seed)
