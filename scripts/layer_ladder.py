@@ -20,10 +20,12 @@ every later layer.
 
 It prints one JSON object keyed by N.  Per layer: ``s``, the best of
 ``REPEATS`` calls in seconds, and ``rss_mb``, the process's RSS
-high-water mark after the layer.  The mark only grows, so run one N per
-process for a clean memory reading of each size.  Beside them: the
-solvers' iteration counts and the GCC node, directed-link and triple
-counts.
+high-water mark after the layer.  Each call starts with the previous
+repeat's result released, so the mark reads as after one call of the
+layer on top of the earlier layers' results.  The mark only grows, so
+run one N per process for a clean memory reading of each size.  Beside
+them: the solvers' iteration counts and the GCC node, directed-link and
+triple counts.
 """
 
 import argparse
@@ -48,6 +50,7 @@ def ladder(n: int) -> dict:
     def layer(name, fn, *args, **kwargs):
         best = math.inf
         for _ in range(REPEATS):
+            out = None  # release the previous repeat's result before the call
             t0 = time.perf_counter()
             out = fn(*args, **kwargs)
             best = min(best, time.perf_counter() - t0)

@@ -19,7 +19,7 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-seven library lines no command writes: ``library/giant_component``
+eight library lines no command writes: ``library/giant_component``
 (``edge_ptr``, ``members``, the id map and ``node_labels`` of the
 giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
 with 1,543 components), ``library/enumerate_two_simplices``
@@ -28,6 +28,9 @@ with 1,543 components), ``library/enumerate_two_simplices``
 and 3 on a seeded multigraph of 300 nodes and 600 hyperedges of 2 to 6
 nodes, five of them repeated 300 times and twenty of them twice, so
 that triple weights run past 255),
+``library/collective_influence`` (the md5 of the scores at beta1 0.3
+and gamma 2 on the generated instance's giant component, then on the
+multigraph, whose link weights pass 255),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
 ``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
 gamma 2), ``library/mp_solve`` (the six state arrays,
@@ -37,7 +40,7 @@ gamma 2), ``library/mp_solve`` (the six state arrays,
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
-infected in some run), the last five on the generated instance's giant
+infected in some run), the last six on the generated instance's giant
 component (the multigraph aside).
 Two trees produce the same outputs when their digests are equal:
 
@@ -55,8 +58,8 @@ from pathlib import Path
 import numpy as np
 
 from hypersir import (EpidemicParams, GenSpec, Hypergraph, build_adjacency, build_wnb,
-                      enumerate_two_simplices, generate, giant_component, leading_eigen,
-                      load_hyperedge_list, mp_solve, run_sir)
+                      collective_influence, enumerate_two_simplices, generate,
+                      giant_component, leading_eigen, load_hyperedge_list, mp_solve, run_sir)
 from hypersir.cli import KNOWN_METHODS, main
 
 INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges", "4000",
@@ -154,9 +157,9 @@ def multigraph() -> Hypergraph:
 
 def library_digest(outdir: Path) -> list[str]:
     """Digests of a labelled instance's giant component, then of the triangle
-    set, a ``leading_eigen`` result, an ``mp_solve`` state and two
-    ``run_sir`` ensembles on the generated instance's GCC, with the triangle
-    sets of a multigraph after the first."""
+    set, the influence scores, a ``leading_eigen`` result, an ``mp_solve``
+    state and two ``run_sir`` ensembles on the generated instance's GCC,
+    with a multigraph's triangle sets and scores beside the GCC's."""
     er = generate(GenSpec("erdos_renyi", 3000, 1500, membership_p=0.0006, rng_seed=4))
     labels = [f"v{i:04d}" for i in range(er.num_nodes)][::-1]  # label order is not id order
     part, remap = giant_component(Hypergraph.from_arrays(
@@ -180,6 +183,9 @@ def library_digest(outdir: Path) -> list[str]:
             f"{triangle_md5(enumerate_two_simplices(multi))} "
             f"{triangle_md5(enumerate_two_simplices(multi, size_cap=3))}  "
             "library/enumerate_two_simplices_multi",
+            f"{md5_of(collective_influence(view, 0.3, 2))} "
+            f"{md5_of(collective_influence(build_adjacency(multi), 0.3, 2))}  "
+            "library/collective_influence",
             f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",

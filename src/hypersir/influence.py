@@ -30,6 +30,9 @@ __all__ = [
 
 BASELINE_METHODS = ("degree", "hyperdegree", "ci_naive", "hadp", "hsdp", "random")
 
+# collective_influence scores rows in blocks of about this many two-hop entries
+_BLOCK_CELLS = 2**19
+
 
 def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> np.ndarray:
     """Neighborhood influence score per node, as a float64 array.
@@ -39,14 +42,30 @@ def collective_influence(view: AdjacencyView, beta1: float, gamma: float) -> np.
     The accumulation is exact integer arithmetic; the infection-rate
     prefactor multiplies once at the end, so rankings are independent of
     beta1 and gamma, which are checked as :func:`build_wnb` checks them.
+    Rows are scored in blocks of about _BLOCK_CELLS two-hop entries (a
+    row over budget is a block of its own), each on the subgraph induced
+    by its rows' neighbors, which holds every path the block reads; this
+    bounds the memory, and as the sums are exact the scores are
+    bit-identical to one whole product.
     """
     _check_rates(beta1, gamma)
-    weighted = view.weighted
-    # z[i, j] = weighted links from i into the neighborhood of j;
-    # restricting to the pattern of A keeps only actual neighbors j.
-    z = weighted @ view.binary
-    per_pair = weighted.multiply(z)
-    base = per_pair @ (view.node_degree - 1)
+    weighted, binary = view.weighted, view.binary
+    excess = view.node_degree - 1
+    # row i of weighted @ binary holds at most sum over k in N(i) of d_N(k) entries
+    fill = np.cumsum(binary @ view.node_degree)
+    base = np.zeros(view.num_nodes, dtype=np.int64)
+    lo = 0
+    while lo < view.num_nodes:
+        budget = (fill[lo - 1] if lo else 0) + _BLOCK_CELLS
+        hi = max(lo + 1, int(np.searchsorted(fill, budget, side="right")))
+        rows = weighted[lo:hi]
+        # z[i, j] = weighted links from i into the neighborhood of j;
+        # restricting to the pattern of A keeps only actual neighbors j,
+        # so both hops of every path read stay inside the rows' neighbors.
+        near = np.flatnonzero(np.bincount(rows.indices, minlength=view.num_nodes))
+        rows, hop = rows[:, near], binary[near][:, near]
+        base[lo:hi] = rows.multiply(rows @ hop) @ excess[near]
+        lo = hi
     scale = (beta1 * gamma) ** 2
     return scale * base.astype(np.float64)
 

@@ -57,6 +57,56 @@ def test_matches_brute_force_exactly():
         assert np.array_equal(ci, brute)
 
 
+def seeded_multigraph(seed):
+    """Hyperedges on a random subset of the nodes (the rest isolated), a few
+    of them repeated many times so that link weights pass 255."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 45))
+    live = rng.choice(n, size=n - 4, replace=False)
+    edges = [sorted(rng.choice(live, size=int(rng.integers(2, 5)), replace=False).tolist())
+             for _ in range(int(rng.integers(n, 2 * n)))]
+    edges += [edges[0]] * 300 + [edges[1]] * 2
+    return hs.Hypergraph(n, edges)
+
+
+def hub_graph():
+    """Node 0 shares a triangle with each consecutive pair of 1..29; nodes
+    30..59 form ten separate triangles."""
+    edges = [[0, i, i + 1] for i in range(1, 29)]
+    edges += [[i, i + 1, i + 2] for i in range(30, 60, 3)]
+    return hs.Hypergraph(60, edges)
+
+
+BLOCK_GRAPHS = {
+    **{f"multigraph{seed}": seeded_multigraph(seed) for seed in (11, 12, 13)},
+    "hub": hub_graph(),
+    "edge_free": hs.Hypergraph(6, []),
+    "empty": hs.Hypergraph(0, []),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_GRAPHS)
+@pytest.mark.parametrize("cells", [1, 7, 64, 500])
+def test_row_blocks_match_one_block_and_brute_force(monkeypatch, name, cells):
+    g = BLOCK_GRAPHS[name]
+    v = hs.build_adjacency(g)
+    monkeypatch.setattr(hs.influence, "_BLOCK_CELLS", 2**62)
+    one_block = hs.collective_influence(v, 0.3, 2)
+    monkeypatch.setattr(hs.influence, "_BLOCK_CELLS", cells)
+    blocked = hs.collective_influence(v, 0.3, 2)
+    assert np.array_equal(blocked, one_block)
+    assert np.array_equal(blocked, brute_collective_influence(g.num_nodes, g.hyperedges, 0.3, 2))
+
+
+def test_hub_graph_puts_one_row_over_budget():
+    # at 64 cells the hub row alone exceeds the budget (a block of its
+    # own), while the separate triangles' rows share blocks, four or more
+    # at a time
+    v = hs.build_adjacency(hub_graph())
+    fill = v.binary @ v.node_degree
+    assert fill[0] > 64 > fill[1:].max() and fill[30:].max() <= 64 // 4
+
+
 def test_ranking_invariant_to_rates():
     rng = np.random.default_rng(7)
     g = random_view(rng, 40, 70)
