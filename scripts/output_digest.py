@@ -9,6 +9,10 @@ Every command goes through ``hypersir.cli.main`` with its outputs under
 OUTDIR: ``generate`` (a scale-free instance, N=2000, seed 3),
 ``experiment`` on the benchmark's sweep config at seeds 1 and 2027 with
 all seven selection methods, and at seed 1 again with ``--workers 2``,
+``experiment`` on the generated instance at ``--lambda1 1.2``,
+``--lambda2`` 0 and 2.5, ``--gamma 3`` and 300 runs with all seven
+methods (each cell's seven seed sets share one stream that splits into
+row blocks, some of whose runs end before others),
 ``spectrum --dump-operator`` at unit rates and at ``--beta1 0.37
 --gamma 3`` (the scaled dump), ``spectrum --size-cap 3``, ``fig3`` with
 and without ``--beta1 0``, and ``stats``, the last five on the generated
@@ -34,13 +38,14 @@ multigraph, whose link weights pass 255),
 ``library/leading_eigen`` (``lambda_c`` repr, ``iterations``,
 ``residual`` and the eigenvector's md5 of the operator at beta1 0.3 and
 gamma 2), ``library/mp_solve`` (the six state arrays,
-``iterations`` and ``residual`` of a seeded solve),
+``iterations`` and ``residual`` of a seeded solve), ``library/mp_solve_pairwise``
+(the same at beta2 0, where no step reads the triangle rows),
 ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
 300-run ensemble, about 540k cells, which ``run_sir`` splits into row
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
-infected in some run), the last six on the generated instance's giant
+infected in some run), the last seven on the generated instance's giant
 component (the multigraph aside).
 Two trees produce the same outputs when their digests are equal:
 
@@ -90,6 +95,9 @@ def run_commands(outdir: Path) -> None:
         "fig3": ["fig3", "--dataset", data],
         "fig3-beta1-0": ["fig3", "--dataset", data, "--beta1", "0"],
         "stats": ["stats", "--dataset", data],
+        "experiment-blocks": ["experiment", "--dataset", data, "--lambda1", "1.2",
+                              "--lambda2", "0", "2.5", "--gamma", "3", "--runs", "300",
+                              "--rng-seed", "7", "--methods", *KNOWN_METHODS],
     }
     for sub, argv in commands.items():
         with contextlib.redirect_stdout(sys.stderr):
@@ -157,8 +165,8 @@ def multigraph() -> Hypergraph:
 
 def library_digest(outdir: Path) -> list[str]:
     """Digests of a labelled instance's giant component, then of the triangle
-    set, the influence scores, a ``leading_eigen`` result, an ``mp_solve``
-    state and two ``run_sir`` ensembles on the generated instance's GCC,
+    set, the influence scores, a ``leading_eigen`` result, two ``mp_solve``
+    states and two ``run_sir`` ensembles on the generated instance's GCC,
     with a multigraph's triangle sets and scores beside the GCC's."""
     er = generate(GenSpec("erdos_renyi", 3000, 1500, membership_p=0.0006, rng_seed=4))
     labels = [f"v{i:04d}" for i in range(er.num_nodes)][::-1]  # label order is not id order
@@ -169,12 +177,13 @@ def library_digest(outdir: Path) -> list[str]:
     eig = leading_eigen(build_wnb(view, 0.3, 2))
     seeds = np.argsort(-view.node_degree, kind="stable")[:20].tolist()
     st = mp_solve(view, simplices, EpidemicParams(0.05, 0.1), seeds)
+    pairwise = mp_solve(view, simplices, EpidemicParams(0.05, 0.0), seeds)
     sir = run_sir(view, simplices, seeds, EpidemicParams(0.05, 0.1, gamma=2, rng_seed=7),
                   runs=300)
     sparse = run_sir(view, simplices, seeds[:1], EpidemicParams(0.03, 0.1, gamma=2, rng_seed=7),
                      runs=20)
-    state = (st.s_msg, st.i_msg, st.r_msg, st.node_s, st.node_i, st.node_r, st.iterations,
-             st.residual)
+    state, pairwise_state = ((x.s_msg, x.i_msg, x.r_msg, x.node_s, x.node_i, x.node_r,
+                              x.iterations, x.residual) for x in (st, pairwise))
     multi = multigraph()
     parts = (part.edge_ptr, part.members, remap)
     return [f"{md5_of(*parts, *(a.dtype.str for a in parts), part.node_labels)}  "
@@ -189,6 +198,7 @@ def library_digest(outdir: Path) -> list[str]:
             f"{eig.lambda_c!r} {eig.iterations} {eig.residual!r} {md5_of(eig.eigvec)}  "
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",
+            f"{md5_of(*pairwise_state)}  library/mp_solve_pairwise",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
             f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed"]
 

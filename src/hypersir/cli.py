@@ -54,7 +54,8 @@ from .influence import (
     top_overlap_curve,
 )
 from .message_passing import build_wnb, critical_beta1, leading_eigen
-from .sir import EpidemicParams, rescale_params, run_sir
+# run_sir stays bound here: perfbench's tracer wraps cli.run_sir
+from .sir import EpidemicParams, rescale_params, run_sir, run_sir_sets  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -296,7 +297,8 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
               select):
     """All methods of one parameter cell, at rates rescaled by ``densities``
     (k1, k2) and seeded by ``select(method, k, rng_seed)``; any failure
-    aborts the cell."""
+    aborts the cell.  Every seed set is selected first, then one
+    ``run_sir_sets`` call runs them all on the cell's one SIR stream."""
     (mode1, v1), (mode2, v2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
     sim_seed, sel_seed = (int(x) for x in ss.generate_state(2))
@@ -308,29 +310,25 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
         "k": k,
         "runs": cfg.runs,
     }
-    rows, details = [], []
     method = "-"
     try:
         b1, b2 = _cell_rates(mode1, v1, mode2, v2, *densities, cfg.gamma)
-        for method in cfg.methods:
+        seed_sets = []
+        for method in cfg.methods:  # a selection fault is reported on its method
             # only random reads sel_seed; the other methods select once per k
-            seeds = select(method, k, sel_seed if method == "random" else 0)
-            stats = run_sir(
-                inp.view, inp.simplices, seeds,
-                EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed),
-                runs=cfg.runs,
-            )
-            rows.append(dict(shared, **stats.summary(), method=method, beta1=b1, beta2=b2,
-                             error=""))
-            details.append((method, stats))
+            seed_sets.append(select(method, k, sel_seed if method == "random" else 0))
+        method = cfg.methods[0]  # a rate or run fault on the first, as when each ran alone
+        params = EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed)
+        details = list(zip(cfg.methods, run_sir_sets(inp.view, inp.simplices, seed_sets,
+                                                     params, runs=cfg.runs)))
     except Exception as err:  # noqa: BLE001 - cell isolation is the contract
-        rows.append(dict(
+        return [dict(
             shared, method=method, beta1=None, beta2=None, sigma_mean=None,
             sigma_std=None, fraction_of_gcc=None, non_absorbed=None,
             error=f"{type(err).__name__}: {err}",
-        ))
-        details = []
-    return rows, details
+        )], []
+    return [dict(shared, **stats.summary(), method=method, beta1=b1, beta2=b2, error="")
+            for method, stats in details], details
 
 
 def cmd_experiment(cfg: ExperimentConfig) -> int:

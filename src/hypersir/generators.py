@@ -3,7 +3,9 @@
 All generators are deterministic given their spec and seed (single PCG64
 stream per call).  The scale-free family samples hyperdegree and
 hyperedge-size sequences from truncated discrete power laws and matches
-node-edge memberships Chung-Lu style; the ER family fills the bipartite
+node-edge memberships Chung-Lu style, by a skip walk over the nodes in
+decreasing weight (Miller & Hagberg, WAW 2011) that reads its uniforms
+in blocks and emits one flat member list; the ER family fills the bipartite
 node-edge membership matrix with iid coin flips; the d-uniform family
 draws distinct uniformly random d-subsets.
 """
@@ -91,8 +93,9 @@ def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
     truncated power laws; node i then joins hyperedge a with probability
     min(1, w_i * s_a / sum(w)).  Memberships are sampled per hyperedge
     with the sorted-weight skipping trick, so the cost is proportional to
-    realized memberships rather than N*M.  Hyperedges left with fewer
-    than 2 members are dropped (they carry no interaction).
+    realized memberships rather than N*M; the walk reads blocks of
+    uniforms, the same doubles as one draw per step.  Hyperedges left with
+    fewer than 2 members are dropped (they carry no interaction).
     """
     n, m = spec.num_nodes, spec.num_hyperedges
     rng = np.random.default_rng(spec.rng_seed)
@@ -106,7 +109,7 @@ def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
 
     degree_target = _power_law_sample(rng, spec.exponent, d_lo, d_hi, n).astype(np.float64)
     size_target = _power_law_sample(rng, spec.exponent, s_lo, s_hi, m).astype(np.float64)
-    total_weight = degree_target.sum()
+    total_weight = float(degree_target.sum())
     if size_target.sum() > n * m:
         raise ValueError(
             f"infeasible spec: total target size {size_target.sum():.0f} "
@@ -114,29 +117,44 @@ def gen_sf_chunglu(spec: GenSpec) -> Hypergraph:
         )
 
     # Nodes sorted by decreasing weight; membership probabilities along the
-    # sorted order are non-increasing, enabling geometric skips.
+    # sorted order are non-increasing, enabling geometric skips.  The walk
+    # runs on Python floats and ints (the same doubles) and reads its
+    # uniforms in blocks; it is the stream's last reader, so the unread
+    # tail of the last block changes nothing.
     order = np.argsort(-degree_target, kind="stable")
-    w_sorted = degree_target[order]
+    w_sorted = degree_target[order].tolist()
+    order = order.tolist()
+    uniform = _uniforms(rng)
 
-    edges = []
-    for s in size_target:
-        members = []
+    sizes, members = [], []
+    for s in size_target.tolist():
+        start = len(members)
         i = 0
         p = min(1.0, w_sorted[0] * s / total_weight)
         while i < n and p > 0.0:
             if p < 1.0:
-                r = rng.random()
-                i += int(math.log(r) / math.log(1.0 - p))
+                i += int(math.log(uniform()) / math.log(1.0 - p))
             if i >= n:
                 break
             q = min(1.0, w_sorted[i] * s / total_weight)
-            if rng.random() < q / p:
-                members.append(int(order[i]))
+            if uniform() < q / p:
+                members.append(order[i])
             p = q
             i += 1
-        if len(members) >= 2:
-            edges.append(members)
-    return Hypergraph(n, edges)
+        if len(members) - start >= 2:
+            sizes.append(len(members) - start)
+        else:
+            del members[start:]
+    return Hypergraph.from_arrays(n, sizes, members)
+
+
+def _uniforms(rng: np.random.Generator, block: int = 4096):
+    """The next uniform of ``rng`` per call, drawn ``block`` at a time;
+    the same doubles, in the same order, as one ``rng.random()`` per call."""
+    def draws():
+        while True:
+            yield from rng.random(block).tolist()
+    return draws().__next__
 
 
 def gen_er_bipartite(spec: GenSpec) -> Hypergraph:

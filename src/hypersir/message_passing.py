@@ -25,6 +25,7 @@ exists only for ``--dump-operator``, the benchmark tracer's
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -49,9 +50,8 @@ __all__ = [
 ]
 
 
-@dataclass
 class _CavityPlumb:
-    """Precomputed index arrays tying triangles to the link index.
+    """Index arrays tying triangles to the link index.
 
     Per expanded triple row (center i, others m and l), ``tlink_a`` and
     ``tlink_b`` give the ids of links (m -> i) and (l -> i) whose
@@ -59,37 +59,51 @@ class _CavityPlumb:
     ``excl_b`` the ids of their reverses (i -> m) and (i -> l), the two
     links whose cavity products leave that row out.  ``link_power`` and
     ``center_power`` are the link and row weights as floats, the exponents
-    of the two channels' factors.
+    of the two channels' factors.  The row arrays are looked up on first
+    read, which only a step with beta2 > 0 makes, so a pairwise solve
+    never builds them.
     """
 
-    tlink_a: np.ndarray
-    tlink_b: np.ndarray
-    excl_a: np.ndarray
-    excl_b: np.ndarray
-    centers: np.ndarray
-    link_power: np.ndarray
-    center_power: np.ndarray
+    def __init__(self, links: LinkIndex, simplices: TwoSimplexSet):
+        # each pair of a triangle is a column of the set, so a set whose
+        # pairs are all links has rows that are all links
+        _link_ids(links, simplices.pair_a, simplices.pair_b)
+        self._links, self._simplices = links, simplices
+        self.centers = simplices.pair_center
+        self.link_power = links.weight.astype(np.float64)
+
+    def _in_links(self, other: np.ndarray) -> np.ndarray:
+        """The links (other -> center) of every expanded row, in the
+        pair-major order of the triangle set."""
+        per_pair = np.diff(self._simplices.pair_ptr)
+        return _link_ids(self._links, np.repeat(other, per_pair), self.centers)
+
+    @functools.cached_property
+    def tlink_a(self) -> np.ndarray:
+        return self._in_links(self._simplices.pair_a)
+
+    @functools.cached_property
+    def tlink_b(self) -> np.ndarray:
+        return self._in_links(self._simplices.pair_b)
+
+    @functools.cached_property
+    def excl_a(self) -> np.ndarray:
+        return self._links.reverse.take(self.tlink_a)
+
+    @functools.cached_property
+    def excl_b(self) -> np.ndarray:
+        return self._links.reverse.take(self.tlink_b)
+
+    @functools.cached_property
+    def center_power(self) -> np.ndarray:
+        return self._simplices.pair_weight.astype(np.float64)
 
 
-def _build_plumb(links: LinkIndex, simplices: TwoSimplexSet) -> _CavityPlumb:
-    """Look up the in-links (other -> center) of every expanded row, in the
-    pair-major order of the triangle set."""
-    per_pair = np.diff(simplices.pair_ptr)
-    centers = simplices.pair_center
+def _link_ids(links: LinkIndex, src, dst) -> np.ndarray:
     try:
-        tlinks = [links.link_ids(np.repeat(other, per_pair), centers)
-                  for other in (simplices.pair_a, simplices.pair_b)]
+        return links.link_ids(src, dst)
     except KeyError:
         raise ValueError("two-simplex set references pairs absent from the link index") from None
-    return _CavityPlumb(
-        tlink_a=tlinks[0],
-        tlink_b=tlinks[1],
-        excl_a=links.reverse.take(tlinks[0]),
-        excl_b=links.reverse.take(tlinks[1]),
-        centers=centers,
-        link_power=links.weight.astype(np.float64),
-        center_power=simplices.pair_weight.astype(np.float64),
-    )
 
 
 @dataclass
@@ -147,7 +161,7 @@ def initial_messages(view: AdjacencyView, simplices: TwoSimplexSet, seeds) -> Me
         i_msg=i_msg,
         node_s=1.0 - node_i,
         node_i=node_i,
-        plumb=_build_plumb(links, simplices),
+        plumb=_CavityPlumb(links, simplices),
     )
 
 

@@ -12,6 +12,9 @@ state of a whole ensemble per step, in row blocks that bound its memory:
 a gather of the triangles' member pairs and two sparse products, which
 read only the infected sources while they are few, escape-table lookups
 and the block's uniforms.  Ended runs leave the state; ``step`` runs it on one row.
+``run_sir_sets`` runs the ensembles of several seed sets on one stream:
+each block of uniforms is drawn once and read by every set's live rows,
+so the sets see common random numbers and each equals its own ``run_sir``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "OutbreakStats",
     "step",
     "run_sir",
+    "run_sir_sets",
     "rescale_params",
     "classify_bistable",
 ]
@@ -43,7 +47,7 @@ S, I, R = 0, 1, 2
 # a run whose final size is under this fraction of the component is absorbing
 ABSORBING_CUT = 0.05
 
-# run_sir advances the live runs in row blocks of about this many (run, node) cells
+# run_sir_sets advances the live runs in row blocks of about this many (run, node) cells
 _BLOCK_CELLS = 2**19
 
 # a step reads only the infected sources while under this share of nodes is infected
@@ -180,7 +184,8 @@ def _advance(status, age, u, channels, simplices, gamma):
     """
     infected = status == I
     by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout sparse products take
-    hot = by_node.any(axis=1)
+    # any() along short rows costs per row, so reduce the layout with the longer rows
+    hot = infected.any(axis=0) if len(infected) <= len(by_node) else by_node.any(axis=1)
     few = np.count_nonzero(hot) < _SOURCE_SHARE * len(hot)
     (adjacency, escape1), triangle = channels
     escape = escape1.take(adjacency[:, hot] @ by_node[hot] if few else adjacency @ by_node)
@@ -216,13 +221,57 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
             params: EpidemicParams, runs: int = 100) -> OutbreakStats:
     """Independent Monte-Carlo runs from a fixed seed set.
 
-    All runs advance together as the rows of one (runs, N) state, drawing
-    one (runs, N) array of uniforms per step from a single generator
-    seeded with params.rng_seed, so the same inputs, seed and number of
-    runs give the same samples.  That draw is made and used in row
-    blocks of about _BLOCK_CELLS cells, which bound each step's memory.
-    Ended runs leave the state; runs still infectious at t_max are
-    flagged non-absorbed.
+    The one-set case of :func:`run_sir_sets`: the same inputs, seed and
+    number of runs give the same samples.
+    """
+    return run_sir_sets(view, simplices, [seeds], params, runs)[0]
+
+
+@dataclass
+class _Ensemble:
+    """One seed set's ensemble: the ids and (live, N) states of its live
+    runs, and the final size and absorption flag of each run that ended."""
+
+    status: np.ndarray
+    age: np.ndarray
+    live: np.ndarray
+    sigma: np.ndarray
+    absorbed: np.ndarray
+
+    def drop_ended(self) -> None:
+        infected = self.status == I
+        # any() along short rows costs per row, so a tall state reduces its transpose
+        going = (infected.any(axis=1) if infected.shape[0] <= infected.shape[1]
+                 else np.ascontiguousarray(infected.T).any(axis=0))
+        if not going.all():
+            ended = self.live[~going]
+            self.sigma[ended] = np.count_nonzero(self.status[~going] == R, axis=1)
+            self.absorbed[ended] = True
+            self.status, self.age, self.live = (
+                self.status[going], self.age[going], self.live[going])
+
+    def stats(self, gcc_size: int) -> OutbreakStats:
+        """The samples, once the runs still live (infectious at t_max) are counted."""
+        self.sigma[self.live] = np.count_nonzero(self.status == R, axis=1)
+        return OutbreakStats(runs=len(self.sigma), sigma_samples=self.sigma,
+                             absorbed=self.absorbed, gcc_size=gcc_size)
+
+
+def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
+                 params: EpidemicParams, runs: int = 100) -> list[OutbreakStats]:
+    """Independent Monte-Carlo runs from each of several seed sets, one stream.
+
+    Each set's runs advance together as the rows of one (runs, N) state.
+    Per step one (runs, N) array of uniforms is drawn from a single
+    generator seeded with params.rng_seed, in row blocks of about
+    _BLOCK_CELLS cells; each block is drawn once and every set's live rows
+    read it, set by set, so each step's temporaries stay within one
+    block's bound.  Set i's stats therefore equal ``run_sir`` on set i:
+    the same inputs, seed and number of runs give the same samples.  Ended
+    runs leave their set's state, and the draws go on while any set has a
+    live run; runs still infectious at t_max are flagged non-absorbed.
+    The state held is two bytes per (run, node) cell per set while gamma
+    is under 256.
     """
     _check_count("runs", runs, 1)
     n = view.num_nodes
@@ -230,26 +279,27 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
 
     rng = np.random.default_rng(params.rng_seed)
     channels = _channels(view, simplices, params.beta1, params.beta2)
-    status = np.tile(initial_state(n, seeds).status, (runs, 1))
-    age = np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma)))
+    ensembles = [_Ensemble(np.tile(initial_state(n, seeds).status, (runs, 1)),
+                           np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma))),
+                           np.arange(runs), np.zeros(runs, dtype=np.intp),
+                           np.zeros(runs, dtype=bool)) for seeds in seed_sets]
     rows = max(1, min(runs, _BLOCK_CELLS // max(n, 1)))
-    final, live, u = status.copy(), np.arange(runs), np.empty((rows, n))
+    u = np.empty((rows, n))
     for t in count():
-        going = (status == I).any(axis=1)
-        if not going.all():  # ended runs leave the state
-            final[live[~going]] = status[~going]
-            status, age, live = status[going], age[going], live[going]
-        if t >= t_max or not live.size:
+        for ens in ensembles:
+            ens.drop_ended()
+        if t >= t_max or not any(ens.live.size for ens in ensembles):
             break
         for r0 in range(0, runs, rows):  # consecutive row blocks give the same doubles
             block = rng.random(out=u[:min(rows, runs - r0)])
-            lo, hi = live.searchsorted([r0, r0 + rows])
-            if lo < hi:  # a block whose runs are all live is used as drawn
-                mine = block if hi - lo == len(block) else block[live[lo:hi] - r0]
-                _advance(status[lo:hi], age[lo:hi], mine, channels, simplices, params.gamma)
-    final[live] = status
-    return OutbreakStats(runs=runs, sigma_samples=np.count_nonzero(final == R, axis=1),
-                         absorbed=~(final == I).any(axis=1), gcc_size=n)
+            for ens in ensembles:
+                live = ens.live
+                lo, hi = live.searchsorted([r0, r0 + rows])
+                if lo < hi:  # a block whose runs are all live is used as drawn
+                    mine = block if hi - lo == len(block) else block[live[lo:hi] - r0]
+                    _advance(ens.status[lo:hi], ens.age[lo:hi], mine, channels, simplices,
+                             params.gamma)
+    return [ens.stats(n) for ens in ensembles]
 
 
 def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,

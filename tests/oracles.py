@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, sqrt
+from math import ceil, comb, log, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -669,3 +669,50 @@ def enumerate_small_hypergraphs(num_nodes=4, max_edges=3):
             seen.add(canon)
             reps.append([list(e) for e in canon])
     return reps
+
+
+def reference_sf_chunglu(spec):
+    """Hyperedges of the scale-free generator, one scalar uniform per draw.
+
+    The Chung-Lu skip walk as first written: numpy scalars, one
+    ``rng.random()`` call per uniform, one member list per hyperedge.
+    Returns the kept hyperedges (two or more members) in walk order and
+    the number of steps taken at p >= 1, which draw no skip uniform.
+    """
+    n, m = spec.num_nodes, spec.num_hyperedges
+    rng = np.random.default_rng(spec.rng_seed)
+    cutoff = max(1, ceil(sqrt(n * m)))
+    (d_lo, d_hi), (s_lo, s_hi) = spec.degree_range, spec.size_range
+    d_hi, s_hi = (cutoff if d_hi is None else d_hi), (cutoff if s_hi is None else s_hi)
+
+    def power_law(low, high, size):
+        support = np.arange(low, high + 1, dtype=np.float64)
+        pmf = support ** (-spec.exponent)
+        pmf /= pmf.sum()
+        return rng.choice(np.arange(low, high + 1), size=size, p=pmf)
+
+    degree_target = power_law(d_lo, d_hi, n).astype(np.float64)
+    size_target = power_law(s_lo, s_hi, m).astype(np.float64)
+    total_weight = degree_target.sum()
+    order = np.argsort(-degree_target, kind="stable")
+    w_sorted = degree_target[order]
+    edges, saturated = [], 0
+    for s in size_target:
+        members = []
+        i = 0
+        p = min(1.0, w_sorted[0] * s / total_weight)
+        while i < n and p > 0.0:
+            if p < 1.0:
+                i += int(log(rng.random()) / log(1.0 - p))
+            else:
+                saturated += 1
+            if i >= n:
+                break
+            q = min(1.0, w_sorted[i] * s / total_weight)
+            if rng.random() < q / p:
+                members.append(int(order[i]))
+            p = q
+            i += 1
+        if len(members) >= 2:
+            edges.append(members)
+    return edges, saturated

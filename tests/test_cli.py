@@ -524,13 +524,13 @@ def test_experiment_selects_deterministic_seed_sets_once(tmp_path, monkeypatch):
     baseline_calls = count_calls(monkeypatch, "baseline_select",
                                  lambda view, k, method, rng_seed=0: (method, k, rng_seed))
     run_seeds = []
-    real_run_sir = cli.run_sir
+    real_run_sir_sets = cli.run_sir_sets
 
-    def recording_run_sir(view, simplices, seeds, params, runs):
-        run_seeds.append(tuple(seeds))
-        return real_run_sir(view, simplices, seeds, params, runs=runs)
+    def recording_run_sir_sets(view, simplices, seed_sets, params, runs):
+        run_seeds.extend(tuple(seeds) for seeds in seed_sets)
+        return real_run_sir_sets(view, simplices, seed_sets, params, runs=runs)
 
-    monkeypatch.setattr(cli, "run_sir", recording_run_sir)
+    monkeypatch.setattr(cli, "run_sir_sets", recording_run_sir_sets)
     assert main(["experiment", "--dataset", str(data), "--lambda1", "0.8", "1.2", "1.6",
                  "--lambda2", "0", "1", "--k-absolute", "2", "4",
                  "--methods", "cia", "hadp", "random", "--runs", "3", "--rng-seed", "5",

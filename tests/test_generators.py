@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hypersir as hs
+import oracles
 
 
 def hill_discrete(samples, xmin):
@@ -107,6 +108,28 @@ def test_sf_heavier_tail_at_lower_exponent():
             tops.append(hs.build_adjacency(h).hyperdegree.max())
         return np.median(tops)
     assert med_max(3.0) < med_max(2.0)
+
+
+@pytest.mark.parametrize("kw, saturates", [
+    ({"num_nodes": 1, "num_hyperedges": 1}, True),
+    ({"num_nodes": 50, "num_hyperedges": 5, "exponent": 3.0, "rng_seed": 7}, False),
+    ({"num_nodes": 300, "num_hyperedges": 200, "exponent": 1.5}, True),
+    ({"num_nodes": 2000, "num_hyperedges": 500, "exponent": 1.5, "degree_range": (2, None),
+      "size_range": (3, None), "rng_seed": 11}, True),
+    ({"num_nodes": 5000, "num_hyperedges": 10000, "size_range": (2, 4),
+      "degree_range": (2, 60), "rng_seed": 1}, False),
+    ({"num_nodes": 20000, "num_hyperedges": 40000, "size_range": (2, 4),
+      "degree_range": (2, 60)}, False),
+], ids=["n1", "n50_exp3", "n300_exp1.5", "n2000_exp1.5_open", "n5000_sweep", "n20000"])
+def test_sf_walk_matches_scalar_draw_oracle(kw, saturates):
+    # the blocked walk reads the same uniforms as one scalar draw per step,
+    # also where p >= 1 steps draw no skip uniform
+    spec = hs.GenSpec("scale_free", **kw)
+    edges, saturated = oracles.reference_sf_chunglu(spec)
+    assert (saturated > 0) == saturates
+    got, want = hs.generate(spec), hs.Hypergraph(spec.num_nodes, edges)
+    assert np.array_equal(got.edge_ptr, want.edge_ptr)
+    assert np.array_equal(got.members, want.members)
 
 
 def test_sf_infeasible_spec_rejected():

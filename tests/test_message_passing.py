@@ -555,15 +555,27 @@ def test_plumb_matches_link_id_lookups():
             want = reference_plumb(links, ts)
         except KeyError:
             with pytest.raises(ValueError, match="absent from the link index"):
-                message_passing._build_plumb(links, ts)
+                message_passing._CavityPlumb(links, ts)
             rejected += 1
             continue
-        got = message_passing._build_plumb(links, ts)
+        got = message_passing._CavityPlumb(links, ts)
         for name, arr in want.items():
             np.testing.assert_array_equal(getattr(got, name), arr, err_msg=name)
         np.testing.assert_array_equal(got.link_power, links.weight.astype(np.float64))
         checked += int(ts.num_triples > 0)
     assert checked > 50 and rejected > 20, (checked, rejected)
+
+
+def test_triangle_rows_built_only_when_a_step_reads_them():
+    v, ts = views(5, [[0, 1, 2], [1, 2, 3, 4]])
+    rows = {"tlink_a", "tlink_b", "excl_a", "excl_b", "center_power"}
+    pairwise = hs.mp_solve(v, ts, hs.EpidemicParams(0.3, 0.0), [0])
+    assert not rows & set(vars(pairwise.plumb))
+    both = hs.mp_solve(v, ts, hs.EpidemicParams(0.3, 0.4), [0])
+    assert rows <= set(vars(both.plumb))
+    want = reference_plumb(both.links, ts)
+    for name in rows:
+        np.testing.assert_array_equal(getattr(pairwise.plumb, name), want[name], err_msg=name)
 
 
 def test_message_state_validation_rejects_bad_sums():

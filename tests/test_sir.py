@@ -1,5 +1,6 @@
 """Contagion process tests: exact oracles, conservation, statistics."""
 
+import itertools
 import json
 
 import numpy as np
@@ -402,6 +403,45 @@ def test_kernel_matches_reference_on_either_path(monkeypatch, share):
     # the infected sources, in run_sir and in step
     monkeypatch.setattr(hs.sir, "_SOURCE_SHARE", share)
     test_kernel_matches_reference_bit_for_bit()
+
+
+@pytest.mark.parametrize("block_rows", [None, 4], ids=["one_block", "blocks_of_4_rows"])
+def test_seed_sets_on_one_stream_match_separate_runs(monkeypatch, block_rows):
+    # each set of one run_sir_sets call equals its own run_sir call and the
+    # reference, bit for bit; 12 runs in 4-row blocks give steps of three
+    # blocks whose runs end at different steps
+    h, seeds, _, _ = path_switching_case()
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+    if block_rows:
+        monkeypatch.setattr(hs.sir, "_BLOCK_CELLS", block_rows * h.num_nodes)
+    block_sizes, advance = [], hs.sir._advance
+
+    def spy(status, *args):
+        block_sizes.append(len(status))
+        advance(status, *args)
+
+    monkeypatch.setattr(hs.sir, "_advance", spy)
+    sets, runs, non_absorbed = [seeds, [], [0, 1, 2], [int(v.weighted_degree.argmax())]], 12, 0
+    for t_max, beta2 in itertools.product((None, 3), (0.0, 0.5)):
+        params = hs.EpidemicParams(0.3, beta2, gamma=3, t_max=t_max, rng_seed=4)
+        got = hs.run_sir_sets(v, ts, sets, params, runs=runs)
+        assert len(got) == len(sets)
+        for set_seeds, stats in zip(sets, got):
+            alone = hs.run_sir(v, ts, set_seeds, params, runs=runs)
+            sigma, absorbed = oracles.reference_run_sir(v, ts, set_seeds, params, runs)
+            for want_sigma, want_absorbed in ((alone.sigma_samples, alone.absorbed),
+                                              (sigma, absorbed)):
+                assert stats.sigma_samples.dtype == want_sigma.dtype
+                assert np.array_equal(stats.sigma_samples, want_sigma)
+                assert np.array_equal(stats.absorbed, want_absorbed)
+            non_absorbed += stats.non_absorbed
+        one = hs.run_sir_sets(v, ts, sets[2:3], params, runs=runs)[0]
+        assert np.array_equal(one.sigma_samples, got[2].sigma_samples)
+        assert np.array_equal(one.absorbed, got[2].absorbed)
+    assert non_absorbed > 0  # t_max = 3 stops runs that are still infectious
+    if block_rows:
+        assert any(0 < size < block_rows for size in block_sizes)  # a partly ended block
+    assert hs.run_sir_sets(v, ts, [], params, runs=runs) == []
 
 
 def test_final_sizes_match_bond_percolation_at_scale():
