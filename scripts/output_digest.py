@@ -23,7 +23,7 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-eight library lines no command writes: ``library/giant_component``
+ten library lines no command writes: ``library/giant_component``
 (``edge_ptr``, ``members``, the id map and ``node_labels`` of the
 giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
 with 1,543 components), ``library/enumerate_two_simplices``
@@ -45,8 +45,11 @@ gamma 2), ``library/mp_solve`` (the six state arrays,
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
-infected in some run), the last seven on the generated instance's giant
-component (the multigraph aside).
+infected in some run), those seven on the generated instance's giant
+component (the multigraph aside), and ``library/run_sir_tall`` (the same
+of three 5,000-run ensembles on 4 nodes with a triangle, a state far
+taller than wide: at ``gamma`` 2, at ``gamma`` 300, whose ages pass 255,
+and at ``gamma`` 2 cut by ``t_max`` 3, all with the triangle channel on).
 Two trees produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
@@ -163,11 +166,23 @@ def multigraph() -> Hypergraph:
     return Hypergraph(300, edges)
 
 
+def tall_sir_md5() -> str:
+    """md5 of the samples of three 5,000-run ensembles on a 4-node instance."""
+    h = Hypergraph(4, [(0, 1, 2), (2, 3)])
+    view, simplices = build_adjacency(h), enumerate_two_simplices(h)
+    cases = (EpidemicParams(0.3, 0.6, gamma=2, rng_seed=7),
+             EpidemicParams(0.002, 0.004, gamma=300, t_max=1300, rng_seed=7),
+             EpidemicParams(0.3, 0.6, gamma=2, t_max=3, rng_seed=7))
+    samples = [run_sir(view, simplices, [0], params, runs=5000) for params in cases]
+    return md5_of(*(a for x in samples for a in (x.sigma_samples, x.absorbed)))
+
+
 def library_digest(outdir: Path) -> list[str]:
     """Digests of a labelled instance's giant component, then of the triangle
     set, the influence scores, a ``leading_eigen`` result, two ``mp_solve``
     states and two ``run_sir`` ensembles on the generated instance's GCC,
-    with a multigraph's triangle sets and scores beside the GCC's."""
+    with a multigraph's triangle sets and scores beside the GCC's, and the
+    tall ensembles of :func:`tall_sir_md5`."""
     er = generate(GenSpec("erdos_renyi", 3000, 1500, membership_p=0.0006, rng_seed=4))
     labels = [f"v{i:04d}" for i in range(er.num_nodes)][::-1]  # label order is not id order
     part, remap = giant_component(Hypergraph.from_arrays(
@@ -200,7 +215,8 @@ def library_digest(outdir: Path) -> list[str]:
             f"{md5_of(*state)}  library/mp_solve",
             f"{md5_of(*pairwise_state)}  library/mp_solve_pairwise",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
-            f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed"]
+            f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed",
+            f"{tall_sir_md5()}  library/run_sir_tall"]
 
 
 def cli() -> None:

@@ -350,8 +350,10 @@ def build_link_index(view: AdjacencyView) -> LinkIndex:
         dst=dst,
         weight=view.weighted.data.astype(np.int64),  # same sparsity pattern as binary
         out_ptr=binary.indptr.astype(np.int64),
-        # the adjacency is symmetric, so the k-th link in (dst, src) order reverses link k
-        reverse=np.lexsort((src, dst)),
+        # the adjacency is symmetric, so the k-th link in (dst, src) order reverses link k;
+        # the CSC form of the link ids lists them in that order, without a sort
+        reverse=sp.csr_matrix((np.arange(len(dst)), binary.indices, binary.indptr),
+                              shape=(n, n)).tocsc().data,
     )
 
 

@@ -198,9 +198,10 @@ def _advance(status, age, u, channels, simplices, gamma):
     p_inf = 1.0 - escape
     newly = (status == S) & (u < p_inf.T)
     recover = infected & (age >= gamma - 1)
-    age += infected & ~recover
-    age[newly] = 0
-    status += newly | recover  # S -> I and I -> R are both +1
+    # whole-array updates: a masked store costs per cell, a multiply does not
+    age += infected ^ recover  # recover lies within infected
+    age *= ~newly
+    status += (newly | recover).view(np.int8)  # S -> I and I -> R are both +1
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +211,12 @@ def step(state: EpidemicState, view: AdjacencyView,
          simplices: TwoSimplexSet, params: EpidemicParams,
          rng: np.random.Generator) -> EpidemicState:
     """Advance one synchronous step; returns a new state at t + 1."""
-    status = state.status[None, :].copy()
+    status = state.status[None, :].astype(np.int8)  # the kernel adds int8 steps to it
     age = state.age[None, :].copy()
     _advance(status, age, rng.random(status.shape),
              _channels(view, simplices, params.beta1, params.beta2), simplices, params.gamma)
-    return EpidemicState(status=status[0], age=age[0], t=state.t + 1)
+    return EpidemicState(status=status[0].astype(state.status.dtype, copy=False), age=age[0],
+                         t=state.t + 1)
 
 
 def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
@@ -239,22 +241,29 @@ class _Ensemble:
     absorbed: np.ndarray
 
     def drop_ended(self) -> None:
-        infected = self.status == I
-        # any() along short rows costs per row, so a tall state reduces its transpose
-        going = (infected.any(axis=1) if infected.shape[0] <= infected.shape[1]
-                 else np.ascontiguousarray(infected.T).any(axis=0))
+        going = _by_row(np.any, self.status == I)
         if not going.all():
-            ended = self.live[~going]
-            self.sigma[ended] = np.count_nonzero(self.status[~going] == R, axis=1)
+            ended = self.live.compress(~going)
+            self.sigma[ended] = _by_row(np.count_nonzero,
+                                        self.status.compress(~going, axis=0) == R)
             self.absorbed[ended] = True
             self.status, self.age, self.live = (
-                self.status[going], self.age[going], self.live[going])
+                a.compress(going, axis=0) for a in (self.status, self.age, self.live))
 
     def stats(self, gcc_size: int) -> OutbreakStats:
         """The samples, once the runs still live (infectious at t_max) are counted."""
-        self.sigma[self.live] = np.count_nonzero(self.status == R, axis=1)
+        self.sigma[self.live] = _by_row(np.count_nonzero, self.status == R)
         return OutbreakStats(runs=len(self.sigma), sigma_samples=self.sigma,
                              absorbed=self.absorbed, gcc_size=gcc_size)
+
+
+def _by_row(reduce, mask: np.ndarray) -> np.ndarray:
+    """``reduce`` (np.any or np.count_nonzero) of each row of a 2-D mask.
+    Reducing along short rows costs per row, so a tall mask is reduced
+    down its transpose."""
+    if len(mask) > mask.shape[1]:
+        return reduce(np.ascontiguousarray(mask.T), axis=0)
+    return reduce(mask, axis=1)
 
 
 def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
@@ -296,7 +305,8 @@ def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
                 live = ens.live
                 lo, hi = live.searchsorted([r0, r0 + rows])
                 if lo < hi:  # a block whose runs are all live is used as drawn
-                    mine = block if hi - lo == len(block) else block[live[lo:hi] - r0]
+                    mine = (block if hi - lo == len(block)
+                            else block.take(live[lo:hi] - r0, axis=0))
                     _advance(ens.status[lo:hi], ens.age[lo:hi], mine, channels, simplices,
                              params.gamma)
     return [ens.stats(n) for ens in ensembles]

@@ -360,6 +360,20 @@ def test_link_index_bijection_and_reverse():
     assert max(weights) > 1
 
 
+def test_reverse_equals_the_sorted_form():
+    # reverse is read off a CSC conversion; it must be the (dst, src) lexsort of the ids
+    rng = np.random.default_rng(28)
+    graphs = [random_hypergraph(rng, int(rng.integers(2, 60)), int(rng.integers(1, 80)), 6)
+              for _ in range(30)]
+    graphs += [hs.Hypergraph(0), hs.Hypergraph(5), hs.Hypergraph(5, [(0,), (3,)]),
+               hs.Hypergraph(9, [(1, 4, 6), (1, 4, 6), (6, 7)])]  # isolated nodes 0, 2, 3, 5, 8
+    for h in graphs:
+        li = hs.build_link_index(hs.build_adjacency(h))
+        want = np.lexsort((li.src, li.dst))
+        assert li.reverse.dtype == want.dtype and np.array_equal(li.reverse, want)
+    assert sum(hs.build_link_index(hs.build_adjacency(h)).num_links == 0 for h in graphs) >= 3
+
+
 def test_link_id_of_absent_pair_raises():
     li = hs.build_link_index(hs.build_adjacency(hs.Hypergraph(4, [(0, 1, 2)])))
     # (0, 4) is out of range; its key 0 * 4 + 4 equals that of link (1, 0)

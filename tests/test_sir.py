@@ -248,6 +248,25 @@ def test_single_run_equals_stepping_with_same_seed():
         assert sigma == state.num_recovered
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+def test_step_resets_the_age_of_a_caller_built_state(dtype):
+    # a caller may hand step nonzero ages on susceptible and recovered nodes: a newly
+    # infected node restarts at age 0, the others keep or advance theirs, as the
+    # reference; the status keeps the caller's dtype
+    v, ts = views(5, [(0, 1, 2), (2, 3), (3, 4)])
+    params = hs.EpidemicParams(beta1=1.0, beta2=1.0, gamma=3)
+    state = hs.EpidemicState(status=np.array([1, 0, 0, 2, 0], dtype=dtype),
+                             age=np.array([2, 5, 7, 9, 4]), t=6)
+    status, age = state.status[None].copy(), state.age[None].copy()
+    got = hs.step(state, v, ts, params, np.random.default_rng(0))
+    oracles.reference_advance(status, age, v, ts, params.beta1, params.beta2, params.gamma,
+                              np.random.default_rng(0))
+    assert got.status.dtype == dtype
+    assert got.status.tolist() == status[0].tolist() == [2, 1, 1, 2, 0]
+    assert got.age.tolist() == age[0].tolist() == [2, 0, 0, 9, 4]
+    assert got.t == 7
+
+
 def test_rescale_params_formula_and_errors():
     assert hs.rescale_params(1.0, 0.0, 2.0, 0.0) == (0.5, 0.0)
     b1, b2 = hs.rescale_params(1.1, 0.0, 239.07, 0.0, gamma=1)
@@ -442,6 +461,40 @@ def test_seed_sets_on_one_stream_match_separate_runs(monkeypatch, block_rows):
     if block_rows:
         assert any(0 < size < block_rows for size in block_sizes)  # a partly ended block
     assert hs.run_sir_sets(v, ts, [], params, runs=runs) == []
+
+
+@pytest.mark.parametrize("gamma, t_max, cut", [(2, None, False), (2, 3, True),
+                                               (300, 1300, False), (300, 302, True)])
+def test_tall_ensembles_match_reference(monkeypatch, gamma, t_max, cut):
+    # 2,000 runs on 4 nodes with a triangle, in 300-row blocks: a tall state's drops,
+    # uniform gathers and row counts, bit for bit; at gamma 300 the ages pass 255
+    h = hs.Hypergraph(4, [(0, 1, 2), (2, 3)])
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+    rows, runs = 300, 2000
+    monkeypatch.setattr(hs.sir, "_BLOCK_CELLS", rows * h.num_nodes)
+    block_sizes, age_types, advance = [], set(), hs.sir._advance
+
+    def spy(status, age, *args):
+        block_sizes.append(len(status))
+        age_types.add(age.dtype)
+        advance(status, age, *args)
+
+    monkeypatch.setattr(hs.sir, "_advance", spy)
+    non_absorbed = []
+    for beta2 in (0.0, 1.2 / gamma):
+        params = hs.EpidemicParams(0.6 / gamma, beta2, gamma=gamma, t_max=t_max, rng_seed=28)
+        got = hs.run_sir(v, ts, [0], params, runs=runs)
+        sigma, absorbed = oracles.reference_run_sir(v, ts, [0], params, runs)
+        assert got.sigma_samples.dtype == sigma.dtype and np.array_equal(got.sigma_samples, sigma)
+        assert np.array_equal(got.absorbed, absorbed)
+        assert len(np.unique(sigma)) > 1
+        non_absorbed.append(got.non_absorbed)
+    assert any(0 < size < rows for size in block_sizes)  # a partly ended block
+    assert age_types == {np.dtype(np.uint8 if gamma < 256 else np.uint16)}
+    if cut:  # t_max leaves some runs infectious and ends others
+        assert all(0 < count < runs for count in non_absorbed)
+    else:
+        assert non_absorbed == [0, 0]
 
 
 def test_final_sizes_match_bond_percolation_at_scale():
