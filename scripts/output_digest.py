@@ -23,7 +23,7 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-ten library lines no command writes: ``library/giant_component``
+eleven library lines no command writes: ``library/giant_component``
 (``edge_ptr``, ``members``, the id map and ``node_labels`` of the
 giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
 with 1,543 components), ``library/enumerate_two_simplices``
@@ -40,12 +40,16 @@ multigraph, whose link weights pass 255),
 gamma 2), ``library/mp_solve`` (the six state arrays,
 ``iterations`` and ``residual`` of a seeded solve), ``library/mp_solve_pairwise``
 (the same at beta2 0, where no step reads the triangle rows),
+``library/mp_solve_certain`` (the same at beta1 1, beta2 1 and gamma 2,
+seeded at the two members of one pair of the triangle set, so both
+channels hold factors equal to exactly 0, then at beta1 0.5, where only
+the triangle channel's zeros decide which cavity products vanish),
 ``library/run_sir`` (``sigma_samples`` and ``absorbed`` of a
 300-run ensemble, about 540k cells, which ``run_sir`` splits into row
 blocks) and ``library/run_sir_one_seed`` (the same of a 20-run ensemble
 from the top-degree node with the triangle channel on, whose steps read
 only the infected sources until more than a quarter of the nodes are
-infected in some run), those seven on the generated instance's giant
+infected in some run), those eight on the generated instance's giant
 component (the multigraph aside), and ``library/run_sir_tall`` (the same
 of three 5,000-run ensembles on 4 nodes with a triangle, a state far
 taller than wide: at ``gamma`` 2, at ``gamma`` 300, whose ages pass 255,
@@ -179,7 +183,7 @@ def tall_sir_md5() -> str:
 
 def library_digest(outdir: Path) -> list[str]:
     """Digests of a labelled instance's giant component, then of the triangle
-    set, the influence scores, a ``leading_eigen`` result, two ``mp_solve``
+    set, the influence scores, a ``leading_eigen`` result, three ``mp_solve``
     states and two ``run_sir`` ensembles on the generated instance's GCC,
     with a multigraph's triangle sets and scores beside the GCC's, and the
     tall ensembles of :func:`tall_sir_md5`."""
@@ -193,12 +197,16 @@ def library_digest(outdir: Path) -> list[str]:
     seeds = np.argsort(-view.node_degree, kind="stable")[:20].tolist()
     st = mp_solve(view, simplices, EpidemicParams(0.05, 0.1), seeds)
     pairwise = mp_solve(view, simplices, EpidemicParams(0.05, 0.0), seeds)
+    pair = [int(simplices.pair_a[0]), int(simplices.pair_b[0])]
+    certain, certain_triangle = (mp_solve(view, simplices, EpidemicParams(beta1, 1.0, gamma=2),
+                                          pair) for beta1 in (1.0, 0.5))
     sir = run_sir(view, simplices, seeds, EpidemicParams(0.05, 0.1, gamma=2, rng_seed=7),
                   runs=300)
     sparse = run_sir(view, simplices, seeds[:1], EpidemicParams(0.03, 0.1, gamma=2, rng_seed=7),
                      runs=20)
-    state, pairwise_state = ((x.s_msg, x.i_msg, x.r_msg, x.node_s, x.node_i, x.node_r,
-                              x.iterations, x.residual) for x in (st, pairwise))
+    state, pairwise_state, certain_state, certain_triangle_state = (
+        (x.s_msg, x.i_msg, x.r_msg, x.node_s, x.node_i, x.node_r, x.iterations, x.residual)
+        for x in (st, pairwise, certain, certain_triangle))
     multi = multigraph()
     parts = (part.edge_ptr, part.members, remap)
     return [f"{md5_of(*parts, *(a.dtype.str for a in parts), part.node_labels)}  "
@@ -214,6 +222,8 @@ def library_digest(outdir: Path) -> list[str]:
             "library/leading_eigen",
             f"{md5_of(*state)}  library/mp_solve",
             f"{md5_of(*pairwise_state)}  library/mp_solve_pairwise",
+            f"{md5_of(*certain_state)} {md5_of(*certain_triangle_state)}  "
+            "library/mp_solve_certain",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
             f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed",
             f"{tall_sir_md5()}  library/run_sir_tall"]

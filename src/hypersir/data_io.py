@@ -12,7 +12,7 @@ and every JSON document through ``write_json``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .hypergraph import (
     DEFAULT_TRIPLE_EDGE_CAP,
@@ -175,10 +175,7 @@ class DatasetStats:
         return asdict(self)
 
 
-STATS_COLUMNS = (
-    "dataset", "n", "m", "gcc_size", "mean_node_degree", "mean_hyperdegree",
-    "k1_mean", "k2_mean", "skipped_large_hyperedges", "deduplicated",
-)
+STATS_COLUMNS = ("dataset", *(f.name for f in fields(DatasetStats)))
 
 
 def write_stats_table(rows: dict[str, DatasetStats], path) -> None:

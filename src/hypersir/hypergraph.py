@@ -206,7 +206,7 @@ def build_adjacency(h: Hypergraph) -> AdjacencyView:
         (np.ones_like(weighted.data), weighted.indices, weighted.indptr),
         shape=weighted.shape,
     )
-    node_degree = np.asarray(binary.sum(axis=1)).ravel().astype(np.int64)
+    node_degree = np.diff(weighted.indptr).astype(np.int64)
     hyperdegree = np.bincount(h.members, minlength=h.num_nodes)
     weighted_degree = np.asarray(weighted.sum(axis=1)).ravel().astype(np.int64)
     return AdjacencyView(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,18 +51,21 @@ __all__ = [
 ]
 
 
+_TriangleRows = namedtuple("_TriangleRows", "tlink_a tlink_b excl_a excl_b center_power")
+
+
 class _CavityPlumb:
     """Index arrays tying triangles to the link index.
 
-    Per expanded triple row (center i, others m and l), ``tlink_a`` and
-    ``tlink_b`` give the ids of links (m -> i) and (l -> i) whose
-    infection messages feed the triangle factor, and ``excl_a`` and
-    ``excl_b`` the ids of their reverses (i -> m) and (i -> l), the two
-    links whose cavity products leave that row out.  ``link_power`` and
-    ``center_power`` are the link and row weights as floats, the exponents
-    of the two channels' factors.  The row arrays are looked up on first
-    read, which only a step with beta2 > 0 makes, so a pairwise solve
-    never builds them.
+    ``link_power`` is the link weights as floats, the pairwise channel's
+    exponents.  ``rows`` is the triangle channel's table, per expanded
+    triple row (center i, others m and l): ``tlink_a`` and ``tlink_b``
+    give the ids of links (m -> i) and (l -> i) whose infection messages
+    feed the triangle factor, ``excl_a`` and ``excl_b`` the ids of their
+    reverses (i -> m) and (i -> l), the two links whose cavity products
+    leave that row out, and ``center_power`` the row weights as floats.
+    The table is looked up on first read, which only a step with
+    beta2 > 0 makes, so a pairwise solve never builds it.
     """
 
     def __init__(self, links: LinkIndex, simplices: TwoSimplexSet):
@@ -72,31 +76,15 @@ class _CavityPlumb:
         self.centers = simplices.pair_center
         self.link_power = links.weight.astype(np.float64)
 
-    def _in_links(self, other: np.ndarray) -> np.ndarray:
-        """The links (other -> center) of every expanded row, in the
-        pair-major order of the triangle set."""
-        per_pair = np.diff(self._simplices.pair_ptr)
-        return _link_ids(self._links, np.repeat(other, per_pair), self.centers)
-
     @functools.cached_property
-    def tlink_a(self) -> np.ndarray:
-        return self._in_links(self._simplices.pair_a)
-
-    @functools.cached_property
-    def tlink_b(self) -> np.ndarray:
-        return self._in_links(self._simplices.pair_b)
-
-    @functools.cached_property
-    def excl_a(self) -> np.ndarray:
-        return self._links.reverse.take(self.tlink_a)
-
-    @functools.cached_property
-    def excl_b(self) -> np.ndarray:
-        return self._links.reverse.take(self.tlink_b)
-
-    @functools.cached_property
-    def center_power(self) -> np.ndarray:
-        return self._simplices.pair_weight.astype(np.float64)
+    def rows(self) -> _TriangleRows:
+        links, ts = self._links, self._simplices
+        per_pair = np.diff(ts.pair_ptr)
+        # the links (other -> center) of every row, in the pair-major order of the set
+        tlink_a, tlink_b = (_link_ids(links, np.repeat(other, per_pair), self.centers)
+                            for other in (ts.pair_a, ts.pair_b))
+        return _TriangleRows(tlink_a, tlink_b, links.reverse.take(tlink_a),
+                             links.reverse.take(tlink_b), ts.pair_weight.astype(np.float64))
 
 
 def _link_ids(links: LinkIndex, src, dst) -> np.ndarray:
@@ -207,17 +195,18 @@ def _escape_products(msgs: MessageState, params: EpidemicParams):
     zero_counts = [] if zf is None else [(np.bincount(links.dst[zf], minlength=n),
                                           zf.take(links.reverse))]
     if params.beta2 > 0.0 and len(plumb.centers):
-        x = msgs.i_msg.take(plumb.tlink_a)
+        tlink_a, tlink_b, excl_a, excl_b, center_power = plumb.rows
+        x = msgs.i_msg.take(tlink_a)
         x *= params.beta2
-        x *= msgs.i_msg.take(plumb.tlink_b)
-        logg, zg = _log_factors(x, plumb.center_power)
+        x *= msgs.i_msg.take(tlink_b)
+        logg, zg = _log_factors(x, center_power)
         full += np.bincount(plumb.centers, logg, minlength=n)
-        own += np.bincount(plumb.excl_a, logg, minlength=num_links)
-        own += np.bincount(plumb.excl_b, logg, minlength=num_links)
+        own += np.bincount(excl_a, logg, minlength=num_links)
+        own += np.bincount(excl_b, logg, minlength=num_links)
         if zg is not None:
             zero_counts.append((np.bincount(plumb.centers[zg], minlength=n),
-                                np.bincount(plumb.excl_a[zg], minlength=num_links)
-                                + np.bincount(plumb.excl_b[zg], minlength=num_links)))
+                                np.bincount(excl_a[zg], minlength=num_links)
+                                + np.bincount(excl_b[zg], minlength=num_links)))
     esc_cav = full.take(links.src)
     esc_cav -= own
     np.exp(esc_cav, out=esc_cav)

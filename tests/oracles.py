@@ -15,7 +15,7 @@ from math import ceil, comb, log, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import eigsh
 
 
@@ -368,6 +368,31 @@ def percolation_final_sizes(view, seeds, beta1, gamma, samples, rng):
         _, labels = connected_components(graph, directed=False)
         sizes[s] = np.count_nonzero(np.isin(labels, labels[seeds]))
     return sizes
+
+
+def forest_infection_probability(view, seed, beta1, gamma):
+    """P(node ever infected) from one seed on a pairwise forest, in closed form.
+
+    With a fixed infectious period of gamma steps the outbreak is bond
+    percolation that keeps pair {i, j} with T_ij = 1 - (1 - beta1)^(gamma
+    A_ij) (Newman, PRE 66:016128, 2002; Kenah & Robins, PRE 76:036113,
+    2007).  On a forest one path joins the seed to each node of its tree,
+    so a node's probability is the product of T along that path, and 0
+    off the seed's tree.  Reads only ``view.weighted``'s nonzeros;
+    ValueError when they hold a cycle.
+    """
+    w = view.weighted
+    n_comp, _ = connected_components(w, directed=False)
+    if w.nnz // 2 != view.num_nodes - n_comp:
+        raise ValueError("the pairwise graph is not a forest")
+    order, parent = breadth_first_order(w, seed, directed=False, return_predecessors=True)
+    mult = np.asarray(w[parent[order[1:]], order[1:]], dtype=np.float64).ravel()
+    keep = 1.0 - (1.0 - beta1) ** (gamma * mult)
+    prob = np.zeros(view.num_nodes)
+    prob[seed] = 1.0
+    for v, t in zip(order[1:].tolist(), keep.tolist()):
+        prob[v] = prob[parent[v]] * t
+    return prob
 
 
 def multinomial_violations(samples, probs, z=3.0):
