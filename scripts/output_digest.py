@@ -13,6 +13,10 @@ all seven selection methods, and at seed 1 again with ``--workers 2``,
 ``--lambda2`` 0 and 2.5, ``--gamma 3`` and 300 runs with all seven
 methods (each cell's seven seed sets share one stream that splits into
 row blocks, some of whose runs end before others),
+``experiment`` on the generated instance at ``--beta1`` 0.02 and 0.05
+with ``--lambda2`` 0 and 2.5, and at ``--lambda1`` 0.8 and 500 (whose
+rescaled beta1 is clamped to 1 with a warning) with ``--beta2`` 0 and
+0.3, both at 30 runs and ``--rng-seed 4`` with ``cia`` and ``random``,
 ``spectrum --dump-operator`` at unit rates and at ``--beta1 0.37
 --gamma 3`` (the scaled dump), ``spectrum --size-cap 3``, ``fig3`` with
 and without ``--beta1 0``, and ``stats``, the last five on the generated
@@ -79,6 +83,10 @@ INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges",
             "--gen-seed", "3"]
 
 
+# run flags of the two experiments that pair a raw beta grid with a lambda grid
+MIXED_RUNS = ["--runs", "30", "--rng-seed", "4", "--methods", "cia", "random"]
+
+
 def sweep_args(seed: int) -> list[str]:
     """The benchmark's sweep experiment (N=5000) at ``seed``, with every method."""
     return ["experiment", "--family", "scale_free", "--num-nodes", "5000",
@@ -105,6 +113,10 @@ def run_commands(outdir: Path) -> None:
         "experiment-blocks": ["experiment", "--dataset", data, "--lambda1", "1.2",
                               "--lambda2", "0", "2.5", "--gamma", "3", "--runs", "300",
                               "--rng-seed", "7", "--methods", *KNOWN_METHODS],
+        "experiment-mixed": ["experiment", "--dataset", data, "--beta1", "0.02", "0.05",
+                             "--lambda2", "0", "2.5", *MIXED_RUNS],
+        "experiment-clamped": ["experiment", "--dataset", data, "--lambda1", "0.8", "500",
+                               "--beta2", "0", "0.3", *MIXED_RUNS],
     }
     for sub, argv in commands.items():
         with contextlib.redirect_stdout(sys.stderr):

@@ -251,12 +251,6 @@ def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> tup
     return baseline_select(view, k, method, rng_seed=rng_seed)
 
 
-def _cell_rates(mode1, v1, mode2, v2, k1, k2, gamma):
-    b1 = rescale_params(v1, 0.0, k1, 1.0, gamma)[0] if mode1 == "lambda1" else float(v1)
-    b2 = rescale_params(0.0, v2, 1.0, k2, gamma)[1] if mode2 == "lambda2" else float(v2)
-    return b1, b2
-
-
 def cmd_generate(cfg: ExperimentConfig) -> int:
     if cfg.generator is None:
         raise ValueError("generate needs a generator block")
@@ -277,18 +271,20 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def _experiment_cells(cfg: ExperimentConfig, inp: PreparedInput):
+    """Every (channel 1, channel 2, k) cell; a channel is a (lambda, beta)
+    pair holding the lambda to rescale or the raw beta, the other None."""
     if cfg.beta1 is not None:
-        grid1 = [("beta1", float(v)) for v in cfg.beta1]
+        grid1 = [(None, float(v)) for v in cfg.beta1]
     elif cfg.lambda1 is not None:
-        grid1 = [("lambda1", float(v)) for v in cfg.lambda1]
+        grid1 = [(float(v), None) for v in cfg.lambda1]
     else:
         raise ValueError("experiment needs a lambda1 or beta1 grid")
     if cfg.beta2 is not None:
-        grid2 = [("beta2", float(v)) for v in cfg.beta2]
+        grid2 = [(None, float(v)) for v in cfg.beta2]
     elif cfg.lambda2 is not None:
-        grid2 = [("lambda2", float(v)) for v in cfg.lambda2]
+        grid2 = [(float(v), None) for v in cfg.lambda2]
     else:
-        grid2 = [("beta2", 0.0)]
+        grid2 = [(None, 0.0)]
     ks = resolve_seed_counts(cfg, inp.work.num_nodes)
     return list(itertools.product(grid1, grid2, ks))
 
@@ -299,25 +295,28 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
     (k1, k2) and seeded by ``select(method, k, rng_seed)``; any failure
     aborts the cell.  Every seed set is selected first, then one
     ``run_sir_sets`` call runs them all on the cell's one SIR stream."""
-    (mode1, v1), (mode2, v2), k = cell
+    (lam1, b1), (lam2, b2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
     sim_seed, sel_seed = (int(x) for x in ss.generate_state(2))
     shared = {
         "cell": cell_idx,
-        "lambda1": v1 if mode1 == "lambda1" else None,
-        "lambda2": v2 if mode2 == "lambda2" else None,
+        "lambda1": lam1,
+        "lambda2": lam2,
         "gamma": cfg.gamma,
         "k": k,
         "runs": cfg.runs,
     }
     method = "-"
     try:
-        b1, b2 = _cell_rates(mode1, v1, mode2, v2, *densities, cfg.gamma)
+        # a rescaling fault is reported with method "-"; a raw beta is kept as given
+        rescaled = rescale_params(lam1 or 0.0, lam2 or 0.0, *densities, cfg.gamma)
+        b1 = rescaled[0] if b1 is None else b1
+        b2 = rescaled[1] if b2 is None else b2
         seed_sets = []
         for method in cfg.methods:  # a selection fault is reported on its method
             # only random reads sel_seed; the other methods select once per k
             seed_sets.append(select(method, k, sel_seed if method == "random" else 0))
-        method = cfg.methods[0]  # a rate or run fault on the first, as when each ran alone
+        method = cfg.methods[0]  # a raw beta outside [0, 1], or a run fault, on the first method
         params = EpidemicParams(beta1=b1, beta2=b2, gamma=cfg.gamma, rng_seed=sim_seed)
         details = list(zip(cfg.methods, run_sir_sets(inp.view, inp.simplices, seed_sets,
                                                      params, runs=cfg.runs)))
@@ -378,16 +377,12 @@ def fit_loglog_slope(sizes, seconds) -> tuple[float, float]:
 
 
 def _bench_instance(cfg: ExperimentConfig, n: int) -> PreparedInput:
-    m = n
-    p = math.sqrt(cfg.mean_degree / (m * (n - 1)))
+    """Giant component of an n-node, n-hyperedge ER draw of mean degree ~cfg.mean_degree."""
+    p = math.sqrt(cfg.mean_degree / (n * (n - 1)))
     seed = int(np.random.SeedSequence([cfg.rng_seed, n]).generate_state(1)[0])
-    sub = dataclasses.replace(
-        cfg,
-        generator={"family": "erdos_renyi", "num_nodes": n,
-                   "num_hyperedges": m, "membership_p": p, "rng_seed": seed},
-        dataset=None, nverts=None, simplices=None,
-    )
-    return prepare_input(sub)
+    h = generate(GenSpec("erdos_renyi", n, n, membership_p=p, rng_seed=seed))
+    work = giant_component(h)[0]
+    return PreparedInput(work, build_adjacency(work), cfg.size_cap)
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, product
 from math import ceil, comb, log, sqrt
 
 import numpy as np
@@ -395,6 +395,46 @@ def forest_infection_probability(view, seed, beta1, gamma):
     return prob
 
 
+def outbreak_probability(view, beta1, gamma):
+    """P(the outbreak from each node, as the one seed, grows large), by the
+    message-passing equations of bond percolation.
+
+    Percolation keeps pair {i, j} with T_ij = 1 - (1 - beta1)^(gamma A_ij),
+    as in :func:`forest_infection_probability`.  The probability that i,
+    reached from j, leads to no large outbreak solves
+
+        u[i->j] = prod over k in N(i) minus j of (1 - T_ik + T_ik u[k->i]),
+
+    iterated from u = 0 in the log domain until no message moves by more
+    than 1e-12 (RuntimeError after 10,000 iterations); the same product
+    over all of N(s) is pi_s, the probability that the outbreak from s
+    stays finite, and this returns 1 - pi_s (Karrer, Newman & Zdeborova,
+    PRL 113:208702, 2014).  Exact on large trees, an approximation
+    elsewhere: it treats the branches at a node as independent, which
+    loops break, and "finite" is not the SIR kernel's ABSORBING_CUT.
+    Reads only ``view.weighted``'s nonzeros; beta1 in [0, 1), so every
+    factor is positive.
+    """
+    if not 0.0 <= beta1 < 1.0:
+        raise ValueError("beta1 must lie in [0, 1)")
+    n = view.num_nodes
+    w = view.weighted.tocoo()
+    src, dst = w.row.astype(np.int64), w.col.astype(np.int64)  # link src -> dst
+    keep = 1.0 - (1.0 - beta1) ** (gamma * w.data.astype(np.float64))
+    key = src * n + dst
+    order = np.argsort(key)
+    rev = order[np.searchsorted(key[order], dst * n + src)]  # link dst -> src
+    u = np.zeros(len(src))
+    for _ in range(10_000):
+        log_factor = np.log1p(-keep * (1.0 - u))  # log(1 - T + T u) of each link's message
+        into = np.bincount(dst, weights=log_factor, minlength=n)
+        new = np.exp(into[src] - log_factor[rev])
+        if np.abs(new - u).max(initial=0.0) <= 1e-12:
+            return -np.expm1(into)
+        u = new
+    raise RuntimeError("no convergence in 10,000 iterations")
+
+
 def multinomial_violations(samples, probs, z=3.0):
     """Compare sampled counts to exact bin probabilities.
 
@@ -664,36 +704,6 @@ def reference_top_overlap(view, scores, n_percent):
         if len(nbrs):
             total += in_top[nbrs].mean()
     return total / m
-
-
-def enumerate_small_hypergraphs(num_nodes=4, max_edges=3):
-    """Isomorphism classes of hypergraphs on num_nodes labeled nodes.
-
-    Edge multisets of 1..max_edges hyperedges with sizes in
-    [2, num_nodes], deduplicated under node relabeling; each class is
-    returned as its lexicographically smallest representative.  Size-1
-    hyperedges are omitted: they touch neither adjacency channel, so
-    every dynamics trajectory is identical with or without them.
-    """
-    universe = list(range(num_nodes))
-    pool = []
-    for size in range(2, num_nodes + 1):
-        pool.extend(combinations(universe, size))
-    perms = list(permutations(universe))
-    seen = set()
-    reps = []
-    for m in range(1, max_edges + 1):
-        for combo in combinations_with_replacement(range(len(pool)), m):
-            edges = [pool[k] for k in combo]
-            canon = min(
-                tuple(sorted(tuple(sorted(p[v] for v in e)) for e in edges))
-                for p in perms
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            reps.append([list(e) for e in canon])
-    return reps
 
 
 def reference_sf_chunglu(spec):

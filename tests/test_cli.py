@@ -145,6 +145,8 @@ def test_experiment_cell_errors_isolated(tmp_path):
     good = [l for l in lines[2:] if l.endswith(",")]
     bad = [l for l in lines[2:] if "no triangles" in l]
     assert len(good) == 1 and len(bad) == 1
+    # a rescaling fault comes before any method runs, so it names none
+    assert good[0].split(",")[1] == "degree" and bad[0].split(",")[1] == "-"
     assert (out / "details" / "cell000_degree.csv").exists()
     assert not (out / "details" / "cell001_degree.csv").exists()
 
@@ -364,9 +366,12 @@ def test_rates_above_one_fail_per_cell_but_not_in_spectrum(tmp_path):
     tri = str(triangle_file(tmp_path))
     out = tmp_path / "exp"
     assert main(["experiment", "--dataset", tri, "--beta1", "0.5", "1.5", "--k-absolute", "1",
-                 "--methods", "degree", "--runs", "2", "--output-dir", str(out)]) == 1
+                 "--methods", "degree", "random", "--runs", "2",
+                 "--output-dir", str(out)]) == 1
     rows = (out / "results.csv").read_text().splitlines()[2:]
-    assert rows[0].endswith(",") and "beta1 must lie in [0, 1]" in rows[1]
+    assert len(rows) == 3 and rows[0].endswith(",") and rows[1].endswith(",")
+    assert "beta1 must lie in [0, 1]" in rows[2]
+    assert rows[2].split(",")[1] == "degree"  # a raw beta fault lands on the first method
     assert main(["spectrum", "--dataset", tri, "--beta1", "1.5",
                  "--output-dir", str(tmp_path / "spec")]) == 0
 
