@@ -16,7 +16,9 @@ row blocks, some of whose runs end before others),
 ``experiment`` on the generated instance at ``--beta1`` 0.02 and 0.05
 with ``--lambda2`` 0 and 2.5, and at ``--lambda1`` 0.8 and 500 (whose
 rescaled beta1 is clamped to 1 with a warning) with ``--beta2`` 0 and
-0.3, both at 30 runs and ``--rng-seed 4`` with ``cia`` and ``random``,
+0.3, and at ``--beta1`` 0.5 and 1.5 (whose second cell fails, exit 1,
+with an error row that holds a comma), all three at 30 runs and
+``--rng-seed 4`` with ``cia`` and ``random``,
 ``spectrum --dump-operator`` at unit rates and at ``--beta1 0.37
 --gamma 3`` (the scaled dump), ``spectrum --size-cap 3``, ``fig3`` with
 and without ``--beta1 0``, and ``stats``, the last five on the generated
@@ -83,7 +85,7 @@ INSTANCE = ["--family", "scale_free", "--num-nodes", "2000", "--num-hyperedges",
             "--gen-seed", "3"]
 
 
-# run flags of the two experiments that pair a raw beta grid with a lambda grid
+# run flags of the experiments on a raw beta grid, paired with a lambda grid or alone
 MIXED_RUNS = ["--runs", "30", "--rng-seed", "4", "--methods", "cia", "random"]
 
 
@@ -117,11 +119,13 @@ def run_commands(outdir: Path) -> None:
                              "--lambda2", "0", "2.5", *MIXED_RUNS],
         "experiment-clamped": ["experiment", "--dataset", data, "--lambda1", "0.8", "500",
                                "--beta2", "0", "0.3", *MIXED_RUNS],
+        "experiment-error-row": ["experiment", "--dataset", data, "--beta1", "0.5", "1.5",
+                                 *MIXED_RUNS],
     }
     for sub, argv in commands.items():
         with contextlib.redirect_stdout(sys.stderr):
             code = main([*argv, "--output-dir", str(outdir / sub)])
-        if code != 0:
+        if code != (1 if sub == "experiment-error-row" else 0):
             raise SystemExit(f"{sub}: hypersir {argv[0]} exited {code}")
 
 

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -105,6 +106,7 @@ class ExperimentConfig:
     dump_operator: bool = False
 
     def validate(self) -> None:
+        _check_types(ExperimentConfig, vars(self))
         for key, low in (("runs", 1), ("gamma", 1), ("workers", 1), ("bench_repeats", 1),
                          ("rng_seed", 0), ("size_cap", 0)):
             _check_count(key, getattr(self, key), low)
@@ -113,19 +115,16 @@ class ExperimentConfig:
         for key, (ok, what) in (("lambda1", rate), ("lambda2", rate), ("beta1", rate),
                                 ("beta2", rate), ("k_percent", percent), ("n_grid", percent),
                                 ("k_absolute", (lambda k: _is_count(k, 0), "integers >= 0")),
-                                ("sizes", (lambda n: _is_count(n, 2), "integers >= 2"))):
+                                ("sizes", (lambda n: _is_count(n, 2), "integers >= 2")),
+                                ("methods", (KNOWN_METHODS.__contains__,
+                                             f"known methods {list(KNOWN_METHODS)}"))):
             vals = getattr(self, key)
-            if vals is None and key not in ("sizes", "n_grid"):
+            if vals is None:
                 continue  # an optional grid left out
             if not vals or not all(map(ok, vals)):
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {vals!r}")
         if not (_is_real(self.mean_degree) and self.mean_degree > 0):
             raise ValueError(f"mean_degree must be positive and finite, got {self.mean_degree!r}")
-        unknown = sorted(set(self.methods) - set(KNOWN_METHODS))
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; known: {list(KNOWN_METHODS)}")
-        if not self.methods:
-            raise ValueError("methods list must be non-empty")
         for key in ("methods", "sizes"):  # a repeat would duplicate rows or a fit point
             vals = getattr(self, key)
             if len(set(vals)) < len(vals):
@@ -143,25 +142,18 @@ GEN_FLAG_KEYS = {("gen_seed" if f.name == "rng_seed" else f.name): f.name
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a JSON config file and apply explicit overrides on top."""
+    """Read a JSON config file, check its types, and apply explicit overrides on top."""
     data: dict = {}
     try:
         if path is not None:
             with open(path) as fh:
                 data = json.load(fh)
-            bad = sorted(set(data) - CONFIG_KEYS)
-            if bad:
-                raise ValueError(f"unknown config keys {bad}")
-        if overrides:
-            gen = dict(data.get("generator") or {})
-            for flag, key in GEN_FLAG_KEYS.items():
-                if overrides.get(flag) is not None:
-                    gen[key] = overrides[flag]
-            if gen:
-                data["generator"] = gen
-            for key in CONFIG_KEYS - {"generator"}:
-                if overrides.get(key) is not None:
-                    data[key] = overrides[key]
+            _check_types(ExperimentConfig, data)  # before the merge, which reads the block
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
+        gen = {key: given[flag] for flag, key in GEN_FLAG_KEYS.items() if flag in given}
+        if gen:
+            data["generator"] = {**(data.get("generator") or {}), **gen}
+        data.update((k, v) for k, v in given.items() if k in CONFIG_KEYS and k != "generator")
         cfg = ExperimentConfig(**data)
         cfg.validate()
         if cfg.generator is not None:
@@ -255,9 +247,11 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     if cfg.generator is None:
         raise ValueError("generate needs a generator block")
     spec = GenSpec(**cfg.generator)
+    name = cfg.name or f"{spec.family}_n{spec.num_nodes}_m{spec.num_hyperedges}_s{spec.rng_seed}"
+    if Path(name).name != name:  # the file must land in output_dir
+        raise ValueError(f"name must be a bare file name, got {name!r}")
     h = generate(spec)
     outdir = _outdir(cfg)
-    name = cfg.name or f"{spec.family}_n{spec.num_nodes}_m{spec.num_hyperedges}_s{spec.rng_seed}"
     path = outdir / f"{name}.txt"
     save_hyperedge_list(h, path)
     if h.num_hyperedges == 0:
@@ -492,11 +486,38 @@ def _flag_kwargs(tp) -> dict:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is bool:
         return {"action": argparse.BooleanOptionalAction}
-    if origin is list:
-        return {"nargs": "+", "type": args[0]}
-    if origin is tuple:
-        return {"nargs": len(args), "type": args[0]}
+    if origin in (list, tuple):
+        return {"nargs": "+" if origin is list else len(args), "type": args[0]}
     return {"type": tp}
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value has the annotated type ``tp``: ``float`` takes any
+    real, ``int`` any integer, and a bool is no number."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin in (list, tuple):  # a tuple[A, B] holds exactly an A and a B
+        return (isinstance(value, (list, tuple)) and (origin is list or len(value) == len(args))
+                and all(map(_fits, value, args * len(value) if origin is list else args)))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(tp, tp))
+
+
+def _check_types(cls, doc, what: str = "config") -> None:
+    """ValueError naming the key unless ``doc`` maps fields of ``cls`` to values
+    of their annotated types (``_fits``); a generator block against ``GenSpec``."""
+    hints = typing.get_type_hints(cls)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    if set(doc) - set(hints):
+        raise ValueError(f"unknown {what} keys {sorted(set(doc) - set(hints))}")
+    for key, value in doc.items():
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{key} must be {cls.__annotations__[key]}, got {value!r}")
+    if doc.get("generator") is not None:
+        _check_types(GenSpec, doc["generator"], "generator")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,11 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    hints = typing.get_type_hints(ExperimentConfig)
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "generator":
-            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                                **_flag_kwargs(hints[f.name]))
+    for key, tp in typing.get_type_hints(ExperimentConfig).items():
+        if key != "generator":
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **_flag_kwargs(tp))
     gen_hints = typing.get_type_hints(GenSpec)
     gen = parser.add_argument_group("generator block overrides")
     for dest, key in GEN_FLAG_KEYS.items():

@@ -11,6 +11,7 @@ and every JSON document through ``write_json``.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, fields
 
@@ -130,17 +131,14 @@ def save_hyperedge_list(h: Hypergraph, path) -> None:
 
 def write_csv(path, tag: str, columns: tuple[str, ...], rows) -> None:
     """Write ``# schema=<tag>.v1``, a header row, then one row per mapping in
-    ``rows``; floats as ``.10g``, None as an empty cell."""
-    def cell(v):
-        if isinstance(v, float):
-            return f"{v:.10g}"
-        return "" if v is None else str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
+    ``rows``; floats as ``.10g``, None as an empty cell, and a cell holding a
+    comma, quote or newline quoted as ``csv`` does."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={tag}.v1\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(row[c]) for c in columns) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([f"{row[c]:.10g}" if isinstance(row[c], float) else row[c]
+                       for c in columns] for row in rows)
 
 
 def write_json(path, doc) -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import csv
 import json
 import shlex
 import sys
@@ -360,6 +361,68 @@ def test_malformed_config_exits_2(tmp_path, capsys, doc):
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert err and list(doc.get("generator", doc))[-1] in err[0], cmd
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": [0.5, 0.5]},
+    {"output_dir": [1]},
+    {"dataset": 0},
+    {"dataset": 5},
+    {"dataset": None, "simplices": "s.txt", "nverts": 3},
+    {"dump_operator": "no"},
+    {"methods": "cia"},
+    {"generator": [1]},
+    {"generator": {"num_nodes": 50, "num_hyperedges": 60, "family": ["scale_free"]}},
+], ids=["list_name", "list_output_dir", "dataset_fd_0", "dataset_fd_5", "nverts_fd_3",
+        "string_dump_operator", "string_methods", "list_generator", "list_family"])
+def test_value_of_another_type_exits_2(tmp_path, monkeypatch, capsys, no_stdin, doc):
+    # no --output-dir flag, which would hide a bad output_dir: outputs
+    # would land in the working directory, and none may be written
+    monkeypatch.chdir(tmp_path)
+    base = {"dataset": str(triangle_file(tmp_path)), "beta1": [0.5], "k_absolute": [1],
+            "runs": 2, "sizes": [20, 30], "bench_repeats": 1}
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc if "generator" in doc else {**base, **doc}))
+    gen = doc.get("generator")
+    key = list(gen if isinstance(gen, dict) else doc)[-1]
+    for cmd in cli.COMMANDS:
+        assert main([cmd, "--config", str(cfgp)]) == 2, cmd
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert err and err[0].startswith(f"error: {key} must be "), (cmd, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "tri.txt"]
+
+
+@pytest.mark.parametrize("text", ["[]", "[1]", '"runs"', "1", "null"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(text)
+    assert main(["stats", "--config", str(cfgp), "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/escaped"])
+def test_generate_name_is_a_bare_file_name(tmp_path, capsys, name):
+    out = tmp_path / "gen"
+    assert main(["generate", *SF_FLAGS, "--name", name, "--output-dir", str(out)]) == 2
+    assert "name must be a bare file name" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == []
+
+
+def test_csv_cells_holding_commas_read_back(tmp_path):
+    tri = str(triangle_file(tmp_path))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--dataset", tri, "--beta1", "0.5", "1.5", "--k-absolute", "1",
+                 "--methods", "degree", "--runs", "2", "--output-dir", str(out)]) == 1
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    assert [r["error"] for r in rows] == ["", "ValueError: beta1 must lie in [0, 1]"]
+    assert all(len(r) == len(cli.RESULT_COLUMNS) and None not in r for r in rows)
+    assert main(["stats", "--dataset", tri, "--name", 'a,"b"', "--output-dir", str(out)]) == 0
+    with open(out / "stats.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    assert [r["dataset"] for r in rows] == ['a,"b"', 'a,"b"/dedup']
+    assert rows[0]["n"] == "3"
 
 
 def test_rates_above_one_fail_per_cell_but_not_in_spectrum(tmp_path):
