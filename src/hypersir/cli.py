@@ -6,7 +6,7 @@ onto a config key of the same name and overrides the file value
 are CSV with a schema comment line plus a header row, or JSON, and each
 invocation drops a ``provenance.json`` next to its outputs.  When the
 ``HYPERSIR_OUTPUT_ROOT`` environment variable is set, relative output
-directories are created under it.
+directories are created under it, and may not climb out of it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import os
+import re
 import sys
 import time
 import types
@@ -39,8 +39,7 @@ from .hypergraph import (
     Hypergraph,
     TwoSimplexSet,
     _check_count,
-    _is_count,
-    _is_real,
+    _fits,
     build_adjacency,
     enumerate_two_simplices,
     giant_component,
@@ -70,6 +69,10 @@ KNOWN_METHODS = ("cia",) + BASELINE_METHODS
 
 OUTPUT_ROOT_ENV = "HYPERSIR_OUTPUT_ROOT"
 
+# the number rule of ``_fits``, as a type error states it
+NUMBER_TERMS = {"int": "an int is an integer at least -2**63 and below 2**63",
+                "float": "a float is a finite real number"}
+
 RESULT_COLUMNS = (
     "cell", "method", "lambda1", "lambda2", "beta1", "beta2", "gamma",
     "k", "runs", "sigma_mean", "sigma_std", "fraction_of_gcc",
@@ -79,7 +82,7 @@ RESULT_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
-    """One JSON document driving every command; unused keys are inert."""
+    """One JSON document driving every command, checked when built; unused keys are inert."""
 
     generator: dict | None = None
     dataset: str | None = None
@@ -105,17 +108,17 @@ class ExperimentConfig:
     n_grid: list[float] = field(default_factory=lambda: [float(v) for v in range(1, 21)])
     dump_operator: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_types(ExperimentConfig, vars(self))
         for key, low in (("runs", 1), ("gamma", 1), ("workers", 1), ("bench_repeats", 1),
                          ("rng_seed", 0), ("size_cap", 0)):
             _check_count(key, getattr(self, key), low)
-        rate = (lambda v: _is_real(v) and v >= 0, "finite numbers >= 0")
-        percent = (lambda v: _is_real(v) and 0 < v <= 100, "numbers in (0, 100]")
+        rate = (lambda v: v >= 0, "finite numbers >= 0")
+        percent = (lambda v: 0 < v <= 100, "numbers in (0, 100]")
         for key, (ok, what) in (("lambda1", rate), ("lambda2", rate), ("beta1", rate),
                                 ("beta2", rate), ("k_percent", percent), ("n_grid", percent),
-                                ("k_absolute", (lambda k: _is_count(k, 0), "integers >= 0")),
-                                ("sizes", (lambda n: _is_count(n, 2), "integers >= 2")),
+                                ("k_absolute", (lambda k: k >= 0, "integers >= 0")),
+                                ("sizes", (lambda n: n >= 2, "integers >= 2")),
                                 ("methods", (KNOWN_METHODS.__contains__,
                                              f"known methods {list(KNOWN_METHODS)}"))):
             vals = getattr(self, key)
@@ -123,7 +126,7 @@ class ExperimentConfig:
                 continue  # an optional grid left out
             if not vals or not all(map(ok, vals)):
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {vals!r}")
-        if not (_is_real(self.mean_degree) and self.mean_degree > 0):
+        if not self.mean_degree > 0:
             raise ValueError(f"mean_degree must be positive and finite, got {self.mean_degree!r}")
         for key in ("methods", "sizes"):  # a repeat would duplicate rows or a fit point
             vals = getattr(self, key)
@@ -132,6 +135,8 @@ class ExperimentConfig:
         for a, b in (("lambda1", "beta1"), ("lambda2", "beta2"), ("k_absolute", "k_percent")):
             if getattr(self, a) is not None and getattr(self, b) is not None:
                 raise ValueError(f"give {a} or {b}, not both")
+        if self.generator is not None:
+            GenSpec(**self.generator)
 
 
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -155,9 +160,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             data["generator"] = {**(data.get("generator") or {}), **gen}
         data.update((k, v) for k, v in given.items() if k in CONFIG_KEYS and k != "generator")
         cfg = ExperimentConfig(**data)
-        cfg.validate()
-        if cfg.generator is not None:
-            GenSpec(**cfg.generator)
     except TypeError as err:
         raise ValueError(f"malformed config: {err}") from None
     return cfg
@@ -218,6 +220,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not path.is_absolute():
         path = Path(root) / path
+        # compared lexically, links unresolved: a ".." may not climb out of the root
+        if not Path(os.path.abspath(path)).is_relative_to(os.path.abspath(root)):
+            raise ValueError(f"output_dir {cfg.output_dir!r} leads outside {OUTPUT_ROOT_ENV}")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -491,20 +496,6 @@ def _flag_kwargs(tp) -> dict:
     return {"type": tp}
 
 
-def _fits(value, tp) -> bool:
-    """Whether a JSON value has the annotated type ``tp``: ``float`` takes any
-    real, ``int`` any integer, and a bool is no number."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
-        return any(_fits(value, arg) for arg in args)
-    if origin in (list, tuple):  # a tuple[A, B] holds exactly an A and a B
-        return (isinstance(value, (list, tuple)) and (origin is list or len(value) == len(args))
-                and all(map(_fits, value, args * len(value) if origin is list else args)))
-    if isinstance(value, bool):
-        return tp is bool
-    return isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(tp, tp))
-
-
 def _check_types(cls, doc, what: str = "config") -> None:
     """ValueError naming the key unless ``doc`` maps fields of ``cls`` to values
     of their annotated types (``_fits``); a generator block against ``GenSpec``."""
@@ -515,7 +506,9 @@ def _check_types(cls, doc, what: str = "config") -> None:
         raise ValueError(f"unknown {what} keys {sorted(set(doc) - set(hints))}")
     for key, value in doc.items():
         if not _fits(value, hints[key]):
-            raise ValueError(f"{key} must be {cls.__annotations__[key]}, got {value!r}")
+            ann = cls.__annotations__[key]
+            gloss = "; ".join(t for w, t in NUMBER_TERMS.items() if w in re.findall(r"\w+", ann))
+            raise ValueError(f"{key} must be {ann}{gloss and f' ({gloss})'}, got {value!r}")
     if doc.get("generator") is not None:
         _check_types(GenSpec, doc["generator"], "generator")
 

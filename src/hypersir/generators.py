@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _check_count, _is_count, _is_real
+from .hypergraph import Hypergraph, _check_count, _fits
 
 __all__ = ["GenSpec", "generate", "gen_sf_chunglu", "gen_er_bipartite", "gen_d_uniform"]
 
@@ -55,13 +55,13 @@ class GenSpec:
             _check_count(key, getattr(self, key), low)
         for key in ("degree_range", "size_range"):
             bounds = getattr(self, key)
-            if not (len(bounds) == 2 and _is_count(bounds[0], 1)
-                    and (bounds[1] is None or _is_count(bounds[1], bounds[0]))):
+            if not (len(bounds) == 2 and _fits(bounds[0], int) and bounds[0] >= 1
+                    and (bounds[1] is None or _fits(bounds[1], int) and bounds[1] >= bounds[0])):
                 raise ValueError(f"{key} must be two integers 1 <= low <= high (high may be "
                                  f"None), got {bounds!r}")
-        if self.family == SCALE_FREE and not (_is_real(self.exponent) and self.exponent > 1.0):
+        if self.family == SCALE_FREE and not (_fits(self.exponent, float) and self.exponent > 1.0):
             raise ValueError(f"power-law exponent must be > 1 and finite, got {self.exponent!r}")
-        if self.family == ERDOS_RENYI and not (_is_real(self.membership_p)
+        if self.family == ERDOS_RENYI and not (_fits(self.membership_p, float)
                                                and 0.0 <= self.membership_p <= 1.0):
             raise ValueError("membership_p must lie in [0, 1]")
         if self.family == D_UNIFORM and self.uniform_size > self.num_nodes:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import types
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, pairwise, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,37 +42,40 @@ __all__ = [
 DEFAULT_TRIPLE_EDGE_CAP = 25
 
 
-def _is_integer(value) -> bool:
-    """Whether value is an integer and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_count(value, low: int) -> bool:
-    """Whether value is an integer (not a bool) of at least low that fits int64."""
-    return _is_integer(value) and low <= value < 2**63
+def _fits(value, tp) -> bool:
+    """Whether ``value`` has the type ``tp``, by the package's one number rule:
+    an ``int`` is an integer that fits int64, a ``float`` a real that is finite
+    as a float, and a bool is neither; ``X | None``, ``list[T]`` and
+    ``tuple[A, B]`` (exactly an A and a B) read as written."""
+    if tp is int:
+        return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and -2**63 <= value < 2**63)
+    if tp is float:
+        try:
+            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value))
+        except OverflowError:  # an int too large for a float
+            return False
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return (isinstance(value, (list, tuple)) and (origin is list or len(value) == len(args))
+                and all(map(_fits, value, args * len(value) if origin is list else args)))
+    return isinstance(value, tp)
 
 
 def _check_count(name: str, value, low: int) -> None:
-    """ValueError naming ``name`` unless ``_is_count(value, low)``."""
-    if not _is_count(value, low):
+    """ValueError naming ``name`` unless value is an ``int`` of at least low."""
+    if not (_fits(value, int) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low} and below 2**63, got {value!r}")
-
-
-def _is_real(value) -> bool:
-    """Whether value is a real number (not a bool) that is finite as a float;
-    every rate, probability, percentage and tolerance must be one."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _check_rates(beta1: float, gamma: float) -> None:
     """The rates of the link operator: beta1 >= 0 and gamma >= 1, both finite."""
-    if not (_is_real(beta1) and beta1 >= 0):
+    if not (_fits(beta1, float) and beta1 >= 0):
         raise ValueError(f"beta1 must be nonnegative and finite, got {beta1!r}")
-    if not (_is_real(gamma) and gamma >= 1):
+    if not (_fits(gamma, float) and gamma >= 1):
         raise ValueError(f"gamma must be at least 1 and finite, got {gamma!r}")
 
 
@@ -92,7 +96,11 @@ def _int64_array(values, what: str, owner) -> np.ndarray:
         if bad:
             odd = np.fromiter(map(isinstance, values, repeat(bad)), dtype=bool, count=len(values))
             raise ValueError(f"hyperedge {owner(odd.argmax())} has a non-integer {what}")
-        values = np.asarray(values)
+        ints = np.asarray(values)
+        # numpy widens the dtype for an integer outside int64; -1 takes its
+        # place, which every caller refuses as out of range
+        values = ints if ints.dtype.kind == "i" else np.array(
+            [v if _fits(v, int) else -1 for v in values], dtype=np.int64)
     if values.dtype.kind not in "iu" and len(values):
         odd = (values != np.trunc(values) if values.dtype.kind == "f"
                else np.ones(len(values), dtype=bool))

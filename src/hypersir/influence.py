@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import AdjacencyView, _check_count, _check_rates, _is_real
+from .hypergraph import AdjacencyView, _check_count, _check_rates, _fits
 
 __all__ = [
     "collective_influence",
@@ -181,7 +181,7 @@ def top_overlap_probability(view: AdjacencyView, scores: np.ndarray,
 
 def top_overlap_curve(view: AdjacencyView, scores: np.ndarray, n_grid) -> list[float]:
     """:func:`top_overlap_probability` at each n% of ``n_grid``, ranking once."""
-    if not all(_is_real(n_percent) and 0 < n_percent <= 100 for n_percent in n_grid):
+    if not all(_fits(n_percent, float) and 0 < n_percent <= 100 for n_percent in n_grid):
         raise ValueError("n_percent must lie in (0, 100]")
     order = ranked_nodes(view, scores)
     curve = []

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .hypergraph import (AdjacencyView, LinkIndex, TwoSimplexSet, _check_count, _check_rates,
-                         _is_real, build_link_index)
+                         _fits, build_link_index)
 from .sir import I, EpidemicParams, initial_state
 
 __all__ = [
@@ -236,7 +236,7 @@ def mp_step(msgs: MessageState, params: EpidemicParams) -> MessageState:
 
 
 def _check_stopping(tol: float, max_iters: int) -> None:
-    if not (_is_real(tol) and tol > 0):
+    if not (_fits(tol, float) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_count("max_iters", max_iters, 1)
 

@@ -19,6 +19,7 @@ so the sets see common random numbers and each equals its own ``run_sir``.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import count
@@ -27,8 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_io import write_csv
-from .hypergraph import (AdjacencyView, TwoSimplexSet, _check_count, _is_count, _is_integer,
-                         _is_real)
+from .hypergraph import AdjacencyView, TwoSimplexSet, _check_count, _fits
 
 __all__ = [
     "EpidemicParams",
@@ -71,10 +71,10 @@ class EpidemicParams:
 
     def __post_init__(self):
         for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not (_is_real(beta) and 0.0 <= beta <= 1.0):
+            if not (_fits(beta, float) and 0.0 <= beta <= 1.0):
                 raise ValueError(f"{key} must lie in [0, 1]")
         _check_count("gamma", self.gamma, 1)
-        if self.t_max is not None and not _is_count(self.t_max, 0):
+        if not (self.t_max is None or _fits(self.t_max, int) and self.t_max >= 0):
             raise ValueError(f"t_max must be None or an integer >= 0, got {self.t_max!r}")
         _check_count("rng_seed", self.rng_seed, 0)
 
@@ -101,14 +101,12 @@ def initial_state(num_nodes: int, seeds) -> EpidemicState:
     status = np.zeros(num_nodes, dtype=np.int8)
     age = np.zeros(num_nodes, dtype=np.int64)
     seeds = list(seeds)
-    for seed in seeds:
-        if not _is_integer(seed):
-            raise ValueError(f"seed id {seed!r} is not an integer")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.size:
-        if seeds.min() < 0 or seeds.max() >= num_nodes:
-            raise ValueError("seed id out of range")
-        status[seeds] = I
+    for seed in seeds:  # checked before the int64 conversion, which may overflow
+        if not (_fits(seed, int) and 0 <= seed < num_nodes):
+            integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            raise ValueError("seed id out of range" if integral
+                             else f"seed id {seed!r} is not an integer")
+    status[np.asarray(seeds, dtype=np.int64)] = I
     return EpidemicState(status=status, age=age, t=0)
 
 
@@ -323,13 +321,13 @@ def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,
     positive lambda, is refused.  Values above 1 are clamped with a warning.
     """
     _check_count("gamma", gamma, 1)
-    if not all(_is_real(lam) and lam >= 0.0 for lam in (lambda1, lambda2)):
+    if not all(_fits(lam, float) and lam >= 0.0 for lam in (lambda1, lambda2)):
         raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, "
                          f"got {lambda1}, {lambda2}")
     mu, betas = 1.0 / gamma, []
     for c, lam, k, fault in ((1, lambda1, k1, "k1 must be positive when lambda1 > 0"),
                              (2, lambda2, k2, "no triangles to carry lambda2 > 0")):
-        if not _is_real(k):
+        if not _fits(k, float):
             raise ValueError(f"k{c} must not be NaN or infinite, got {k!r}")
         if lam > 0.0 and not k > 0.0:
             raise ValueError(fault)

@@ -177,15 +177,15 @@ def test_seed_count_resolution():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="known"):
-        ExperimentConfig(methods=["pagerank"]).validate()
+        ExperimentConfig(methods=["pagerank"])
     with pytest.raises(ValueError, match="0, 100"):
-        ExperimentConfig(k_percent=[0.0]).validate()
+        ExperimentConfig(k_percent=[0.0])
     for pair in (("lambda1", "beta1"), ("lambda2", "beta2"), ("k_absolute", "k_percent")):
         with pytest.raises(ValueError, match=f"give {pair[0]} or {pair[1]}, not both"):
-            ExperimentConfig(**dict.fromkeys(pair, [1])).validate()
+            ExperimentConfig(**dict.fromkeys(pair, [1]))
     with pytest.raises(ValueError, match="non-empty"):
-        ExperimentConfig(lambda1=[]).validate()
-    ExperimentConfig(k_percent=[100.0]).validate()
+        ExperimentConfig(lambda1=[])
+    ExperimentConfig(k_percent=[100.0])
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -444,6 +444,22 @@ def test_output_root_env(tmp_path, monkeypatch):
     tri = triangle_file(tmp_path)
     assert main(["stats", "--dataset", str(tri), "--output-dir", "nested/out"]) == 0
     assert (tmp_path / "nested" / "out" / "stats.csv").exists()
+
+
+def test_output_root_keeps_relative_dirs_inside(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "root"
+    monkeypatch.setenv("HYPERSIR_OUTPUT_ROOT", str(root))
+    monkeypatch.chdir(tmp_path)
+    tri = str(triangle_file(tmp_path))
+    for out in ("../outside", "a/../../outside"):
+        assert main(["stats", "--dataset", tri, "--output-dir", out]) == 2
+        assert "leads outside HYPERSIR_OUTPUT_ROOT" in capsys.readouterr().err
+    assert not (tmp_path / "outside").exists() and not root.exists()
+    # a ".." that stays under the root is kept, and an absolute dir is used as given
+    assert main(["stats", "--dataset", tri, "--output-dir", "a/../inside"]) == 0
+    assert (root / "inside" / "stats.csv").exists()
+    assert main(["stats", "--dataset", tri, "--output-dir", str(tmp_path / "abs")]) == 0
+    assert (tmp_path / "abs" / "stats.csv").exists()
 
 
 def test_spectrum_triangle_and_forest(tmp_path):

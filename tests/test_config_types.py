@@ -4,12 +4,14 @@ fuzz pass over every command finds no exit outside 0, 1 and 2."""
 import csv
 import dataclasses
 import json
+import types
 import typing
 
 import numpy as np
 import pytest
 
 import hypersir.cli as cli
+import hypersir.hypergraph as hypergraph
 from hypersir.cli import ExperimentConfig, main
 from hypersir.generators import GenSpec
 
@@ -47,14 +49,54 @@ def test_type_rule_reads_every_field(cls, f):
 
 def test_type_rule_forms():
     fits = cli._fits
+    assert fits is hypergraph._fits  # the library's rule, not a copy
     assert fits(2, float) and fits(2.5, float) and not fits(True, float)
     assert fits(np.int64(2), int) and not fits(2.0, int) and not fits(False, int)
+    assert fits(2**63 - 1, int) and fits(-2**63, int) and fits(np.int64(5), int)
+    assert not fits(2**63, int) and not fits(-2**63 - 1, int) and not fits(np.uint64(2**63), int)
+    assert not any(fits(v, float) for v in (float("nan"), float("inf"), -np.inf, 10**400))
+    assert fits(np.float64(1e308), float) and fits(10**300, float)
     assert fits(True, bool) and not fits(1, bool) and not fits("no", bool)
     assert fits(None, str | None) and not fits(0, str | None)
     assert fits([1, 2.5], list[float]) and not fits("ab", list[str]) and not fits([[1]], list[int])
     assert fits([1, None], tuple[int, int | None]) and fits((1, 2), tuple[int, int | None])
     assert not fits([1], tuple[int, int | None]) and not fits([1, 2, 3], tuple[int, int | None])
     assert fits({}, dict | None) and not fits([1], dict | None)
+
+
+def _out_of_rule(tp):
+    """A value of the form ``tp`` whose every int is 2**63 and float NaN, which
+    the number rule refuses; None if ``tp`` holds something else."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in (int, float):
+        return 2**63 if tp is int else float("nan")
+    if origin is types.UnionType:  # X | None
+        return _out_of_rule(args[0])
+    if origin in (list, tuple):
+        inner = [_out_of_rule(arg) for arg in (args[:1] if origin is list else args)]
+        return inner if None not in inner else None
+    return None
+
+
+NUMBER_FIELDS = [(cls, key, _out_of_rule(tp)) for cls in (ExperimentConfig, GenSpec)
+                 for key, tp in typing.get_type_hints(cls).items()
+                 if _out_of_rule(tp) is not None]
+
+
+@pytest.mark.parametrize("cls, key, value", NUMBER_FIELDS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key, _ in NUMBER_FIELDS])
+def test_number_outside_the_rule_exits_2(tmp_path, capsys, cls, key, value):
+    # the generator's family reads neither exponent nor membership_p
+    gen = {"family": "d_uniform", "num_nodes": 6, "num_hyperedges": 5}
+    doc = ({"generator": {**gen, key: value}} if cls is GenSpec
+           else {"generator": gen, key: value})
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert main(["generate", "--config", str(tmp_path / "c.json"), "--output-dir", out]) == 2
+    (err,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert err.startswith(f"error: {key} must be ")
+    assert ("finite" if "nan" in repr(value) else "below 2**63") in err, err
+    assert not (tmp_path / "out").exists()
 
 
 # The fuzz pass: seed and case count were fixed before its first run.

@@ -95,6 +95,21 @@ def test_whole_float_ids_refused_by_dtype():
     assert h.num_nodes == 3 and h.members.tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: hs.Hypergraph(4, [[1], [0, 2**64]]), r"^hyperedge 1 has node id outside \[0, 4\)$"),
+    (lambda: hs.Hypergraph(4, [[0, 2**63]]), r"^hyperedge 0 has node id outside \[0, 4\)$"),
+    (lambda: hs.Hypergraph(4, [[-2**63 - 1]]), r"^hyperedge 0 has node id outside \[0, 4\)$"),
+    (lambda: hs.Hypergraph.from_arrays(4, [2**64], [0]), "^hyperedge sizes must be nonnegative"),
+], ids=["2**64", "2**63", "-2**63-1", "size_2**64"])
+def test_integers_beyond_int64_are_out_of_range(make, message):
+    # numpy widens such a list to float64, uint64 or object; no entry is a non-integer
+    with pytest.raises(ValueError, match=message):
+        make()
+    # unsigned ids in range, which numpy also stores in another dtype, are kept
+    h = hs.Hypergraph(3, [[np.uint64(2), np.uint8(0)], [1]])
+    assert h.hyperedges == ((0, 2), (1,))
+
+
 @pytest.mark.parametrize("sizes, message", [
     ([2.7], "^hyperedge 0 has a non-integer size$"),   # once truncated to 2
     ([1, 1.0], "^hyperedge 1 has a non-integer size$"),

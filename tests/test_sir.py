@@ -54,9 +54,11 @@ def test_run_sir_rejects_malformed_runs():
 def test_run_sir_rejects_out_of_range_seeds():
     v, ts = views(4, [(0, 1, 2), (2, 3)])
     params = hs.EpidemicParams(beta1=0.5)
-    for seeds in ([4], [0, -1]):
+    for seeds in ([4], [0, -1], [2**63], [0, -2**70], [2**64]):  # int64 holds none of the last
         with pytest.raises(ValueError, match="seed id out of range"):
             hs.run_sir(v, ts, seeds, params, runs=3)
+        with pytest.raises(ValueError, match="seed id out of range"):
+            hs.mp_solve(v, ts, params, seeds)
 
 
 def test_seed_ids_must_be_integers():
