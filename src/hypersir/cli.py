@@ -272,20 +272,16 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 def _experiment_cells(cfg: ExperimentConfig, inp: PreparedInput):
     """Every (channel 1, channel 2, k) cell; a channel is a (lambda, beta)
     pair holding the lambda to rescale or the raw beta, the other None."""
-    if cfg.beta1 is not None:
-        grid1 = [(None, float(v)) for v in cfg.beta1]
-    elif cfg.lambda1 is not None:
-        grid1 = [(float(v), None) for v in cfg.lambda1]
-    else:
+    def grid(lambdas, betas):
+        if betas is not None:
+            return [(None, float(v)) for v in betas]
+        return None if lambdas is None else [(float(v), None) for v in lambdas]
+
+    grid1 = grid(cfg.lambda1, cfg.beta1)
+    if grid1 is None:
         raise ValueError("experiment needs a lambda1 or beta1 grid")
-    if cfg.beta2 is not None:
-        grid2 = [(None, float(v)) for v in cfg.beta2]
-    elif cfg.lambda2 is not None:
-        grid2 = [(float(v), None) for v in cfg.lambda2]
-    else:
-        grid2 = [(None, 0.0)]
-    ks = resolve_seed_counts(cfg, inp.work.num_nodes)
-    return list(itertools.product(grid1, grid2, ks))
+    grid2 = grid(cfg.lambda2, cfg.beta2) or [(None, 0.0)]  # a given grid is never empty
+    return list(itertools.product(grid1, grid2, resolve_seed_counts(cfg, inp.work.num_nodes)))
 
 
 def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: int, cell,
@@ -387,8 +383,11 @@ def _bench_instance(cfg: ExperimentConfig, n: int) -> PreparedInput:
 def cmd_bench(cfg: ExperimentConfig) -> int:
     if len(cfg.sizes) < 2:  # checked before any timing, since the fit needs two points
         raise ValueError(f"bench needs at least two sizes to fit a slope, got {cfg.sizes}")
+    n = min(cfg.sizes)  # the draw's membership probability must not exceed 1
+    if cfg.mean_degree > n * (n - 1):
+        raise ValueError(f"mean_degree must be at most n(n-1) = {n * (n - 1)} at size {n}, "
+                         f"got {cfg.mean_degree!r}")
     rows = []
-    times: dict[str, list[float]] = {m: [] for m in cfg.methods}
     for n in cfg.sizes:
         inp = _bench_instance(cfg, n)
         k = resolve_seed_counts(cfg, inp.work.num_nodes)[0]
@@ -401,10 +400,10 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                 select_seeds(inp.view, method, k, sel_seed)
                 best = min(best, time.perf_counter() - t0)
             rows.append({"method": method, "n": n, "k": k, "seconds": best})
-            times[method].append(best)
     fit_rows = []
     for method in cfg.methods:
-        slope, intercept = fit_loglog_slope(cfg.sizes, times[method])
+        slope, intercept = fit_loglog_slope(
+            cfg.sizes, [r["seconds"] for r in rows if r["method"] == method])
         fit_rows.append({"method": method, "slope": slope, "intercept": intercept})
     outdir = _outdir(cfg)
     write_csv(outdir / "bench.csv", "bench_times",

@@ -114,12 +114,7 @@ def brute_two_simplices(num_nodes, hyperedges, size_cap=25):
     dtypes of ``hypersir.TwoSimplexSet``; see that class for the meaning
     of each.
     """
-    counts = {}
-    for e in hyperedges:
-        e = tuple(sorted(e))
-        if 3 <= len(e) <= size_cap:
-            for t in combinations(e, 3):
-                counts[t] = counts.get(t, 0) + 1
+    counts, _ = triple_weights(hyperedges, size_cap)
     node_triple_weight = np.zeros(num_nodes, dtype=np.int64)
     rows = []  # (pair, center, weight), one per triple member
     for t, w in counts.items():
@@ -157,32 +152,30 @@ def triples_of(simplices):
     return {t: rows[t][0] for t in sorted(rows)}
 
 
-def exact_sigma_distribution(num_nodes, hyperedges, seeds, beta1, beta2,
-                             gamma=1, size_cap=25):
-    """Exhaustive enumeration of every stochastic trajectory.
+def _final_states(num_nodes, hyperedges, seeds, beta1, beta2, gamma, size_cap):
+    """Every finished trajectory as (final status tuple, probability).
 
-    Returns {final_size: probability}.  Infection pressures are computed
-    per susceptible node by scanning hyperedges: an edge containing the
-    node and m infected members contributes m to the pairwise exponent
-    and C(m, 2) to the triangle exponent (edges above size_cap skip the
-    triangle channel).  Branches over every infect/skip outcome subset,
-    so keep num_nodes tiny.
+    Walks the trajectory tree one synchronous step at a time: infection
+    pressures are computed per susceptible node by scanning hyperedges;
+    an edge containing the node and m infected members contributes m to
+    the pairwise exponent and C(m, 2) to the triangle exponent (edges
+    above size_cap skip the triangle channel).  Branches over every
+    infect/skip outcome subset, so keep num_nodes tiny.  Status 2 is
+    recovered; a branch of probability zero is dropped.
     """
     start_status = [0] * num_nodes
     for s in seeds:
         start_status[s] = 1
     dist = {(tuple(start_status), (0,) * num_nodes): 1.0}
-    out = defaultdict(float)
     edge_sets = [frozenset(e) for e in hyperedges]
     while dist:
         nxt = defaultdict(float)
         for (status, age), pr in dist.items():
             if 1 not in status:
-                out[status.count(2)] += pr
+                yield status, pr
                 continue
             sus = [i for i in range(num_nodes) if status[i] == 0]
-            certain = []
-            coin = []
+            certain, coin = [], []
             for i in sus:
                 wsum = 0
                 tsum = 0
@@ -214,82 +207,36 @@ def exact_sigma_distribution(num_nodes, hyperedges, seeds, beta1, beta2,
                 for i in range(num_nodes):
                     if status[i] == 1:
                         if age[i] >= gamma - 1:
-                            ns[i] = 2
-                            na[i] = 0
+                            ns[i], na[i] = 2, 0
                         else:
                             na[i] = age[i] + 1
                 for i in newly:
-                    ns[i] = 1
-                    na[i] = 0
+                    ns[i], na[i] = 1, 0
                 nxt[(tuple(ns), tuple(na))] += bp
         dist = nxt
+
+
+def exact_sigma_distribution(num_nodes, hyperedges, seeds, beta1, beta2,
+                             gamma=1, size_cap=25):
+    """{final_size: probability}, by exhaustive enumeration of every
+    stochastic trajectory (``_final_states``); keep num_nodes tiny."""
+    out = defaultdict(float)
+    for status, pr in _final_states(num_nodes, hyperedges, seeds, beta1, beta2,
+                                    gamma, size_cap):
+        out[status.count(2)] += pr
     return dict(out)
 
 
 def exact_final_marginals(num_nodes, hyperedges, seeds, beta1, beta2,
                           gamma=1, size_cap=25):
-    """Per-node probability of ending recovered, by full enumeration.
-
-    Same trajectory tree as exact_sigma_distribution, but the terminal
-    accumulator is a vector: out[i] = P(node i was ever infected).
-    """
-    start_status = [0] * num_nodes
-    for s in seeds:
-        start_status[s] = 1
-    dist = {(tuple(start_status), (0,) * num_nodes): 1.0}
+    """Per-node probability of ending recovered, out[i] = P(node i was
+    ever infected), summed over the same trajectories (``_final_states``)."""
     out = np.zeros(num_nodes)
-    edge_sets = [frozenset(e) for e in hyperedges]
-    while dist:
-        nxt = defaultdict(float)
-        for (status, age), pr in dist.items():
-            if 1 not in status:
-                for i in range(num_nodes):
-                    if status[i] == 2:
-                        out[i] += pr
-                continue
-            sus = [i for i in range(num_nodes) if status[i] == 0]
-            certain = []
-            coin = []
-            for i in sus:
-                wsum = 0
-                tsum = 0
-                for e in edge_sets:
-                    if i not in e:
-                        continue
-                    m = sum(1 for j in e if status[j] == 1)
-                    wsum += m
-                    if len(e) <= size_cap:
-                        tsum += comb(m, 2)
-                p = 1.0 - (1.0 - beta1) ** wsum * (1.0 - beta2) ** tsum
-                if p >= 1.0:
-                    certain.append(i)
-                elif p > 0.0:
-                    coin.append((i, p))
-            for bits in product((0, 1), repeat=len(coin)):
-                bp = pr
-                newly = list(certain)
-                for (i, p), b in zip(coin, bits):
-                    if b:
-                        bp *= p
-                        newly.append(i)
-                    else:
-                        bp *= 1.0 - p
-                if bp == 0.0:
-                    continue
-                ns = list(status)
-                na = list(age)
-                for i in range(num_nodes):
-                    if status[i] == 1:
-                        if age[i] >= gamma - 1:
-                            ns[i] = 2
-                            na[i] = 0
-                        else:
-                            na[i] = age[i] + 1
-                for i in newly:
-                    ns[i] = 1
-                    na[i] = 0
-                nxt[(tuple(ns), tuple(na))] += bp
-        dist = nxt
+    for status, pr in _final_states(num_nodes, hyperedges, seeds, beta1, beta2,
+                                    gamma, size_cap):
+        for i in range(num_nodes):
+            if status[i] == 2:
+                out[i] += pr
     return out
 
 

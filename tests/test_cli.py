@@ -568,6 +568,21 @@ def test_bench_refuses_one_size_before_timing(tmp_path, monkeypatch):
     assert calls == [] and not out.exists()
 
 
+def test_bench_refuses_mean_degree_above_smallest_size_before_timing(tmp_path, monkeypatch,
+                                                                     capsys):
+    calls = count_calls(monkeypatch, "select_seeds", lambda view, method, k, seed: method)
+    out = tmp_path / "b"
+    assert main(["bench", "--mean-degree", "200", "--sizes", "10", "20",
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mean_degree must be at most n(n-1) = 90 at size 10, got 200.0" in err
+    assert not calls and not out.exists()
+    # at n(n-1) the draw's membership probability is exactly 1, which is legal
+    assert main(["bench", "--mean-degree", "90", "--sizes", "10", "20", "--methods", "degree",
+                 "--bench-repeats", "1", "--output-dir", str(out)]) == 0
+    assert calls == {"degree": 2 * 2}  # per size, the warm-up and one repeat
+
+
 def test_loglog_fit_sanity():
     ns = np.array([100, 200, 400, 800])
     slope, intercept = fit_loglog_slope(ns, 2.5e-6 * ns)
@@ -600,6 +615,27 @@ def count_calls(monkeypatch, name, key):
 
     monkeypatch.setattr(cli, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("channel2", ["lambda2", "beta2", None])
+@pytest.mark.parametrize("channel1", ["lambda1", "beta1"])
+def test_experiment_cells_follow_one_channel_rule(channel1, channel2):
+    doc = {channel1: [0.5, 1.5], "k_absolute": [2, 3]}
+    if channel2 is not None:
+        doc[channel2] = [0.25]
+    inp = cli.PreparedInput(hs.Hypergraph(3, [[0, 1, 2]]), None, 25)
+    grid1 = {"lambda1": [(0.5, None), (1.5, None)], "beta1": [(None, 0.5), (None, 1.5)]}
+    grid2 = {"lambda2": [(0.25, None)], "beta2": [(None, 0.25)], None: [(None, 0.0)]}
+    assert cli._experiment_cells(ExperimentConfig(**doc), inp) == [
+        (c1, c2, k) for c1 in grid1[channel1] for c2 in grid2[channel2] for k in (2, 3)]
+
+
+def test_experiment_without_channel_1_grid_exits_2(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["experiment", "--dataset", str(triangle_file(tmp_path)), "--lambda2", "1",
+                 "--output-dir", str(out)]) == 2
+    assert "error: experiment needs a lambda1 or beta1 grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_selects_deterministic_seed_sets_once(tmp_path, monkeypatch):
