@@ -29,7 +29,7 @@ except ``provenance.json`` (it records paths), sorted by path, each
 ``provenance.json`` its ``size_cap`` and ``skipped_hyperedges`` (absent
 ones read None), and for the ``experiment`` ones also the reprs of
 ``k1_mean`` and ``k2_mean``; and
-eleven library lines no command writes: ``library/giant_component``
+twelve library lines no command writes: ``library/giant_component``
 (``edge_ptr``, ``members``, the id map and ``node_labels`` of the
 giant component of a labelled Erdos-Renyi instance, N=3000, M=1500,
 with 1,543 components), ``library/enumerate_two_simplices``
@@ -59,7 +59,10 @@ infected in some run), those eight on the generated instance's giant
 component (the multigraph aside), and ``library/run_sir_tall`` (the same
 of three 5,000-run ensembles on 4 nodes with a triangle, a state far
 taller than wide: at ``gamma`` 2, at ``gamma`` 300, whose ages pass 255,
-and at ``gamma`` 2 cut by ``t_max`` 3, all with the triangle channel on).
+and at ``gamma`` 2 cut by ``t_max`` 3, all with the triangle channel on),
+and ``library/run_sir_tall_255`` (the same of one such ensemble at
+``gamma`` 255 whose runs all recover, so that the SIR kernel's phases,
+``1 + age`` while infectious and ``gamma + 1`` once recovered, pass 255).
 Two trees produce the same outputs when their digests are equal:
 
     diff <(cd old && PYTHONPATH=src python3 /path/to/output_digest.py /tmp/a) \\
@@ -186,13 +189,15 @@ def multigraph() -> Hypergraph:
     return Hypergraph(300, edges)
 
 
-def tall_sir_md5() -> str:
-    """md5 of the samples of three 5,000-run ensembles on a 4-node instance."""
+TALL_CASES = (EpidemicParams(0.3, 0.6, gamma=2, rng_seed=7),
+              EpidemicParams(0.002, 0.004, gamma=300, t_max=1300, rng_seed=7),
+              EpidemicParams(0.3, 0.6, gamma=2, t_max=3, rng_seed=7))
+
+
+def tall_sir_md5(*cases: EpidemicParams) -> str:
+    """md5 of the samples of a 5,000-run ensemble per case on a 4-node instance."""
     h = Hypergraph(4, [(0, 1, 2), (2, 3)])
     view, simplices = build_adjacency(h), enumerate_two_simplices(h)
-    cases = (EpidemicParams(0.3, 0.6, gamma=2, rng_seed=7),
-             EpidemicParams(0.002, 0.004, gamma=300, t_max=1300, rng_seed=7),
-             EpidemicParams(0.3, 0.6, gamma=2, t_max=3, rng_seed=7))
     samples = [run_sir(view, simplices, [0], params, runs=5000) for params in cases]
     return md5_of(*(a for x in samples for a in (x.sigma_samples, x.absorbed)))
 
@@ -242,7 +247,9 @@ def library_digest(outdir: Path) -> list[str]:
             "library/mp_solve_certain",
             f"{md5_of(sir.sigma_samples, sir.absorbed)}  library/run_sir",
             f"{md5_of(sparse.sigma_samples, sparse.absorbed)}  library/run_sir_one_seed",
-            f"{tall_sir_md5()}  library/run_sir_tall"]
+            f"{tall_sir_md5(*TALL_CASES)}  library/run_sir_tall",
+            f"{tall_sir_md5(EpidemicParams(0.0024, 0.0047, gamma=255, t_max=1100, rng_seed=7))}"
+            "  library/run_sir_tall_255"]
 
 
 def cli() -> None:

@@ -171,16 +171,17 @@ def _channels(view: AdjacencyView, simplices: TwoSimplexSet, beta1: float, beta2
                              len(simplices.pair_a), simplices.node_triple_weight, beta2)
 
 
-def _advance(status, age, u, channels, simplices, gamma):
-    """One synchronous update, in place, of (R, N) arrays, given uniforms u.
+def _advance(phase, u, channels, simplices, gamma):
+    """One synchronous update, in place, of (R, N) phases, given uniforms u.
 
+    A cell's phase is 0 (S), 1 + its age (I, 1 to gamma) or gamma + 1 (R).
     Infections are decided from the pre-step state: one gather of the
     distinct member pairs with both members infected, one sparse product
     per channel for the pressures, and escape-table lookups.  While under
     _SOURCE_SHARE of the nodes are infected in any run, the gather and the
     products read only those nodes and the pairs of two of them.
     """
-    infected = status == I
+    infected = (phase > S) & (phase <= gamma)
     by_node = np.ascontiguousarray(infected.T)  # (N, R), the layout sparse products take
     # any() along short rows costs per row, so reduce the layout with the longer rows
     hot = infected.any(axis=0) if len(infected) <= len(by_node) else by_node.any(axis=1)
@@ -194,12 +195,8 @@ def _advance(status, age, u, channels, simplices, gamma):
         both = by_node.take(a[pairs], axis=0) & by_node.take(b[pairs], axis=0)
         escape *= escape2.take(by_pair[:, pairs] @ both if few else by_pair @ both)
     p_inf = 1.0 - escape
-    newly = (status == S) & (u < p_inf.T)
-    recover = infected & (age >= gamma - 1)
-    # whole-array updates: a masked store costs per cell, a multiply does not
-    age += infected ^ recover  # recover lies within infected
-    age *= ~newly
-    status += (newly | recover).view(np.int8)  # S -> I and I -> R are both +1
+    infected |= (phase == S) & (u < p_inf.T)
+    phase += infected
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +205,25 @@ def _advance(status, age, u, channels, simplices, gamma):
 def step(state: EpidemicState, view: AdjacencyView,
          simplices: TwoSimplexSet, params: EpidemicParams,
          rng: np.random.Generator) -> EpidemicState:
-    """Advance one synchronous step; returns a new state at t + 1."""
-    status = state.status[None, :].astype(np.int8)  # the kernel adds int8 steps to it
-    age = state.age[None, :].copy()
-    _advance(status, age, rng.random(status.shape),
-             _channels(view, simplices, params.beta1, params.beta2), simplices, params.gamma)
-    return EpidemicState(status=status[0].astype(state.status.dtype, copy=False), age=age[0],
-                         t=state.t + 1)
+    """Advance one synchronous step; returns a new state at t + 1 whose status keeps
+    its dtype and whose ages are int64.  Infectious nodes of age gamma - 1 or more recover."""
+    status, age, gamma = np.asarray(state.status), np.asarray(state.age), int(params.gamma)
+    for key, field in (("status", status), ("age", age)):
+        if field.shape != (view.num_nodes,):
+            raise ValueError(f"{key} must have shape ({view.num_nodes},), got {field.shape}")
+    if not np.isin(status, (S, I, R)).all():
+        raise ValueError("status must hold only 0 (S), 1 (I) and 2 (R)")
+    if not (np.issubdtype(age.dtype, np.integer) and (age.astype(np.int64) >= 0).all()):
+        raise ValueError("age must hold integers in [0, 2**63)")  # 2**63 and up cast below 0
+    age = age.astype(np.int64)  # a copy, which this step writes
+    phase, infectious = np.zeros(view.num_nodes, np.min_scalar_type(gamma + 1)), status == I
+    phase[status == R] = gamma + 1
+    phase[infectious] = np.minimum(age[infectious], gamma - 1) + 1
+    _advance(phase[None], rng.random((1, view.num_nodes)),
+             _channels(view, simplices, params.beta1, params.beta2), simplices, gamma)
+    infectious = (phase > S) & (phase <= gamma)
+    age[infectious] = phase[infectious] - 1
+    return EpidemicState(np.where(phase > gamma, R, infectious).astype(status.dtype), age, state.t + 1)
 
 
 def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
@@ -229,39 +238,37 @@ def run_sir(view: AdjacencyView, simplices: TwoSimplexSet, seeds,
 
 @dataclass
 class _Ensemble:
-    """One seed set's ensemble: the ids and (live, N) states of its live
+    """One seed set's ensemble: the ids and (live, N) phases of its live
     runs, and the final size and absorption flag of each run that ended."""
 
-    status: np.ndarray
-    age: np.ndarray
+    phase: np.ndarray
     live: np.ndarray
     sigma: np.ndarray
     absorbed: np.ndarray
 
-    def drop_ended(self) -> None:
-        going = _by_row(np.any, self.status == I)
+    def drop_ended(self, gamma: int) -> None:
+        going = _by_row(np.any, (self.phase > S) & (self.phase <= gamma))
         if not going.all():
             ended = self.live.compress(~going)
-            self.sigma[ended] = _by_row(np.count_nonzero,
-                                        self.status.compress(~going, axis=0) == R)
+            # an ended run has no infectious node: its nonzero phases are its recovered ones
+            self.sigma[ended] = _by_row(np.count_nonzero, self.phase.compress(~going, axis=0))
             self.absorbed[ended] = True
-            self.status, self.age, self.live = (
-                a.compress(going, axis=0) for a in (self.status, self.age, self.live))
+            self.phase, self.live = (a.compress(going, axis=0) for a in (self.phase, self.live))
 
-    def stats(self, gcc_size: int) -> OutbreakStats:
+    def stats(self, gcc_size: int, gamma: int) -> OutbreakStats:
         """The samples, once the runs still live (infectious at t_max) are counted."""
-        self.sigma[self.live] = _by_row(np.count_nonzero, self.status == R)
+        self.sigma[self.live] = _by_row(np.count_nonzero, self.phase > gamma)
         return OutbreakStats(runs=len(self.sigma), sigma_samples=self.sigma,
                              absorbed=self.absorbed, gcc_size=gcc_size)
 
 
-def _by_row(reduce, mask: np.ndarray) -> np.ndarray:
-    """``reduce`` (np.any or np.count_nonzero) of each row of a 2-D mask.
-    Reducing along short rows costs per row, so a tall mask is reduced
+def _by_row(reduce, cells: np.ndarray) -> np.ndarray:
+    """``reduce`` (np.any or np.count_nonzero) of each row of a 2-D array.
+    Reducing along short rows costs per row, so a tall array is reduced
     down its transpose."""
-    if len(mask) > mask.shape[1]:
-        return reduce(np.ascontiguousarray(mask.T), axis=0)
-    return reduce(mask, axis=1)
+    if len(cells) > cells.shape[1]:
+        return reduce(np.ascontiguousarray(cells.T), axis=0)
+    return reduce(cells, axis=1)
 
 
 def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
@@ -277,24 +284,24 @@ def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
     the same inputs, seed and number of runs give the same samples.  Ended
     runs leave their set's state, and the draws go on while any set has a
     live run; runs still infectious at t_max are flagged non-absorbed.
-    The state held is two bytes per (run, node) cell per set while gamma
-    is under 256.
+    The state held is one byte per (run, node) cell per set while gamma is
+    under 255, its phase (see ``_advance``), which starts as its initial status.
     """
     _check_count("runs", runs, 1)
-    n = view.num_nodes
+    n, gamma = view.num_nodes, int(params.gamma)
     t_max = params.t_max if params.t_max is not None else 10 * n
 
     rng = np.random.default_rng(params.rng_seed)
     channels = _channels(view, simplices, params.beta1, params.beta2)
-    ensembles = [_Ensemble(np.tile(initial_state(n, seeds).status, (runs, 1)),
-                           np.zeros((runs, n), dtype=np.min_scalar_type(int(params.gamma))),
+    phase_type = np.min_scalar_type(gamma + 1)
+    ensembles = [_Ensemble(np.tile(initial_state(n, seeds).status.astype(phase_type), (runs, 1)),
                            np.arange(runs), np.zeros(runs, dtype=np.intp),
                            np.zeros(runs, dtype=bool)) for seeds in seed_sets]
     rows = max(1, min(runs, _BLOCK_CELLS // max(n, 1)))
     u = np.empty((rows, n))
     for t in count():
         for ens in ensembles:
-            ens.drop_ended()
+            ens.drop_ended(gamma)
         if t >= t_max or not any(ens.live.size for ens in ensembles):
             break
         for r0 in range(0, runs, rows):  # consecutive row blocks give the same doubles
@@ -305,9 +312,8 @@ def run_sir_sets(view: AdjacencyView, simplices: TwoSimplexSet, seed_sets,
                 if lo < hi:  # a block whose runs are all live is used as drawn
                     mine = (block if hi - lo == len(block)
                             else block.take(live[lo:hi] - r0, axis=0))
-                    _advance(ens.status[lo:hi], ens.age[lo:hi], mine, channels, simplices,
-                             params.gamma)
-    return [ens.stats(n) for ens in ensembles]
+                    _advance(ens.phase[lo:hi], mine, channels, simplices, gamma)
+    return [ens.stats(n, gamma) for ens in ensembles]
 
 
 def rescale_params(lambda1: float, lambda2: float, k1: float, k2: float,

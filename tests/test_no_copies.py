@@ -3,7 +3,7 @@
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = ("src/hypersir/*.py", "tests/*.py", "scripts/*.py")
+SOURCES = ("src/hypersir/*.py", "tests/*.py", "scripts/*.py", "demos/*.py")
 RUN = 6        # consecutive lines that make a copy
 MIN_CHARS = 9  # shorter lines (closers, ``else:``, ``continue``) never count
 

@@ -269,6 +269,39 @@ def test_step_resets_the_age_of_a_caller_built_state(dtype):
     assert got.t == 7
 
 
+@pytest.mark.parametrize("status, age, match", [
+    ([1, 0, 3, 0], [0, 0, 0, 0], "status must hold only 0"),
+    ([1, 0, 0, 0], [0, -4, 0, 0], "age must hold integers"),
+    ([1, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], "age must hold integers"),
+    ([1, 0, 0, 0], np.array([0, 2**64 - 1, 0, 0], dtype=np.uint64), "age must hold integers"),
+    ([1, 0, 0], [0, 0, 0], r"status must have shape \(4,\)"),
+    ([1, 0, 0, 0], [0, 0, 0], r"age must have shape \(4,\)"),
+], ids=["status_3", "negative_age", "float_age", "age_past_int64", "short_status",
+        "short_age"])
+def test_step_refuses_malformed_caller_built_states(status, age, match):
+    v, ts = views(4, [(0, 1, 2), (2, 3)])
+    state = hs.EpidemicState(status=np.array(status), age=np.array(age))
+    with pytest.raises(ValueError, match=match):
+        hs.step(state, v, ts, hs.EpidemicParams(0.5, 0.5, gamma=2), np.random.default_rng(0))
+
+
+def test_step_counts_ages_past_the_callers_age_type():
+    # a uint8 age of 255 at gamma 300 steps to 256, as int64, and the node stays
+    # infectious until its age reaches gamma - 1
+    v, ts = views(4, [(0, 1, 2), (2, 3)])
+    params = hs.EpidemicParams(0.0, gamma=300)
+    state = hs.EpidemicState(status=np.array([1, 0, 0, 0]),
+                             age=np.array([255, 0, 0, 0], dtype=np.uint8))
+    got = hs.step(state, v, ts, params, np.random.default_rng(0))
+    assert got.age.dtype == np.int64
+    assert got.status.tolist() == [1, 0, 0, 0] and got.age.tolist() == [256, 0, 0, 0]
+    for _ in range(43):
+        got = hs.step(got, v, ts, params, np.random.default_rng(0))
+    assert got.status.tolist() == [1, 0, 0, 0] and got.age.tolist() == [299, 0, 0, 0]
+    got = hs.step(got, v, ts, params, np.random.default_rng(0))
+    assert got.status.tolist() == [2, 0, 0, 0] and got.age.tolist() == [299, 0, 0, 0]
+
+
 def test_rescale_params_formula_and_errors():
     assert hs.rescale_params(1.0, 0.0, 2.0, 0.0) == (0.5, 0.0)
     b1, b2 = hs.rescale_params(1.1, 0.0, 239.07, 0.0, gamma=1)
@@ -377,12 +410,12 @@ def test_path_switching_case_takes_both_paths(monkeypatch):
     v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
     shares, pairless, advance = [], 0, hs.sir._advance
 
-    def spy(status, *args):
+    def spy(phase, *args):
         nonlocal pairless
-        hot = (status == hs.sir.I).any(axis=0)
+        hot = ((phase > hs.sir.S) & (phase <= args[-1])).any(axis=0)  # args[-1] is gamma
         shares.append(hot.mean())
         pairless += hot.mean() < hs.sir._SOURCE_SHARE and not (hot[ts.pair_a] & hot[ts.pair_b]).any()
-        advance(status, *args)
+        advance(phase, *args)
 
     monkeypatch.setattr(hs.sir, "_advance", spy)
     hs.run_sir(v, ts, seeds, params, runs=runs)
@@ -466,20 +499,21 @@ def test_seed_sets_on_one_stream_match_separate_runs(monkeypatch, block_rows):
 
 
 @pytest.mark.parametrize("gamma, t_max, cut", [(2, None, False), (2, 3, True),
-                                               (300, 1300, False), (300, 302, True)])
+                                               (255, 1100, False), (300, 1300, False),
+                                               (300, 302, True)])
 def test_tall_ensembles_match_reference(monkeypatch, gamma, t_max, cut):
     # 2,000 runs on 4 nodes with a triangle, in 300-row blocks: a tall state's drops,
-    # uniform gathers and row counts, bit for bit; at gamma 300 the ages pass 255
+    # uniform gathers and row counts, bit for bit; from gamma 255 the phases pass 255
     h = hs.Hypergraph(4, [(0, 1, 2), (2, 3)])
     v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
     rows, runs = 300, 2000
     monkeypatch.setattr(hs.sir, "_BLOCK_CELLS", rows * h.num_nodes)
-    block_sizes, age_types, advance = [], set(), hs.sir._advance
+    block_sizes, phase_types, advance = [], set(), hs.sir._advance
 
-    def spy(status, age, *args):
-        block_sizes.append(len(status))
-        age_types.add(age.dtype)
-        advance(status, age, *args)
+    def spy(phase, *args):
+        block_sizes.append(len(phase))
+        phase_types.add(phase.dtype)
+        advance(phase, *args)
 
     monkeypatch.setattr(hs.sir, "_advance", spy)
     non_absorbed = []
@@ -492,11 +526,40 @@ def test_tall_ensembles_match_reference(monkeypatch, gamma, t_max, cut):
         assert len(np.unique(sigma)) > 1
         non_absorbed.append(got.non_absorbed)
     assert any(0 < size < rows for size in block_sizes)  # a partly ended block
-    assert age_types == {np.dtype(np.uint8 if gamma < 256 else np.uint16)}
+    assert phase_types == {np.dtype(np.uint8 if gamma < 255 else np.uint16)}
     if cut:  # t_max leaves some runs infectious and ends others
         assert all(0 < count < runs for count in non_absorbed)
     else:
         assert non_absorbed == [0, 0]
+
+
+def test_kernel_matches_reference_at_the_largest_gamma(monkeypatch):
+    # gamma 2**63 - 1 puts the phase in uint64: no run ends by t_max, and a node
+    # stepped from age gamma - 2 recovers in two steps
+    h = hs.Hypergraph(4, [(0, 1, 2), (2, 3)])
+    v, ts = hs.build_adjacency(h), hs.enumerate_two_simplices(h)
+    params = hs.EpidemicParams(0.5, 0.5, gamma=2**63 - 1, t_max=4, rng_seed=3)
+    phase_types, advance = set(), hs.sir._advance
+
+    def spy(phase, *args):
+        phase_types.add(phase.dtype)
+        advance(phase, *args)
+
+    monkeypatch.setattr(hs.sir, "_advance", spy)
+    got = hs.run_sir(v, ts, [0], params, runs=50)
+    sigma, absorbed = oracles.reference_run_sir(v, ts, [0], params, 50)
+    assert np.array_equal(got.sigma_samples, sigma) and np.array_equal(got.absorbed, absorbed)
+    assert got.non_absorbed == 50 and phase_types == {np.dtype(np.uint64)}
+    state = hs.EpidemicState(status=np.array([1, 1, 0, 2]), age=np.array([2**63 - 3, 0, 7, 5]))
+    status, age = state.status[None].copy(), state.age[None].copy()
+    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+    for _ in range(2):
+        state = hs.step(state, v, ts, params, rng_a)
+        oracles.reference_advance(status, age, v, ts, params.beta1, params.beta2, params.gamma,
+                                  rng_b)
+        assert state.status.tolist() == status[0].tolist()
+        assert state.age.tolist() == age[0].tolist()
+    assert state.status[0] == 2 and state.age[0] == 2**63 - 2
 
 
 def test_final_sizes_match_bond_percolation_at_scale():
