@@ -23,6 +23,7 @@ import sys
 import time
 import types
 import typing
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,7 +152,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     data: dict = {}
     try:
         if path is not None:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             _check_types(ExperimentConfig, data)  # before the merge, which reads the block
         given = {k: v for k, v in (overrides or {}).items() if v is not None}
@@ -229,15 +230,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def _write_provenance(outdir: Path, command: str, cfg: ExperimentConfig,
                       outputs: list[str], extra: dict | None = None) -> None:
-    doc = {
-        "command": command,
-        "package_version": __version__,
-        "config": dataclasses.asdict(cfg),
-        "outputs": outputs,
-    }
-    if extra:
-        doc.update(extra)
-    write_json(outdir / "provenance.json", doc)
+    write_json(outdir / "provenance.json", {"command": command, "package_version": __version__,
+                                            "config": dataclasses.asdict(cfg), "outputs": outputs,
+                                            **(extra or {})})
 
 
 def select_seeds(view: AdjacencyView, method: str, k: int, rng_seed: int) -> tuple[int, ...]:
@@ -293,14 +288,8 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
     (lam1, b1), (lam2, b2), k = cell
     ss = np.random.SeedSequence([cfg.rng_seed, cell_idx])
     sim_seed, sel_seed = (int(x) for x in ss.generate_state(2))
-    shared = {
-        "cell": cell_idx,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "gamma": cfg.gamma,
-        "k": k,
-        "runs": cfg.runs,
-    }
+    shared = {"cell": cell_idx, "lambda1": lam1, "lambda2": lam2, "gamma": cfg.gamma, "k": k,
+              "runs": cfg.runs}
     method = "-"
     try:
         # a rescaling fault is reported with method "-"; a raw beta is kept as given
@@ -316,12 +305,12 @@ def _run_cell(cfg: ExperimentConfig, inp: PreparedInput, densities, cell_idx: in
         details = list(zip(cfg.methods, run_sir_sets(inp.view, inp.simplices, seed_sets,
                                                      params, runs=cfg.runs)))
     except Exception as err:  # noqa: BLE001 - cell isolation is the contract
-        return [dict(
-            shared, method=method, beta1=None, beta2=None, sigma_mean=None,
-            sigma_std=None, fraction_of_gcc=None, non_absorbed=None,
-            error=f"{type(err).__name__}: {err}",
-        )], []
-    return [dict(shared, **stats.summary(), method=method, beta1=b1, beta2=b2, error="")
+        # a failed cell has no statistics: every column but the shared ones stays empty
+        return [{**dict.fromkeys(RESULT_COLUMNS), **shared, "method": method,
+                 "error": f"{type(err).__name__}: {err}"}], []
+    return [dict(shared, method=method, beta1=b1, beta2=b2, sigma_mean=stats.sigma_mean,
+                 sigma_std=stats.sigma_std, fraction_of_gcc=stats.fraction_of_gcc,
+                 non_absorbed=stats.non_absorbed, error="")
             for method, stats in details], details
 
 
@@ -347,7 +336,9 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     for cell_idx, (_, details) in enumerate(results):
         for method, stats in details:
             dpath = detail_dir / f"cell{cell_idx:03d}_{method}.csv"
-            stats.write_csv(dpath)
+            write_csv(dpath, "run_detail", ("run", "sigma", "absorbed"),
+                      ({"run": r, "sigma": int(s), "absorbed": int(a)}
+                       for r, (s, a) in enumerate(zip(stats.sigma_samples, stats.absorbed))))
             outputs.append(f"details/{dpath.name}")
     write_csv(outdir / "results.csv", "experiment_results", RESULT_COLUMNS, rows)
     errors = [r for r in rows if r["error"]]
@@ -426,9 +417,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     res = leading_eigen(op)
     bstar = critical_beta1(inp.view, gamma=cfg.gamma)
     outdir = _outdir(cfg)
-    doc = dict(res.to_dict(), beta1=b1, gamma=cfg.gamma,
-               beta1_star=bstar if math.isfinite(bstar) else "inf",
-               num_nodes=inp.work.num_nodes)
+    doc = {"lambda_c": res.lambda_c, "iterations": res.iterations, "residual": res.residual,
+           "converged": res.converged, "num_links": len(res.eigvec), "beta1": b1,
+           "gamma": cfg.gamma, "beta1_star": bstar if math.isfinite(bstar) else "inf",
+           "num_nodes": inp.work.num_nodes}
     write_json(outdir / "spectrum.json", doc)
     outputs = ["spectrum.json"]
     if cfg.dump_operator:
@@ -464,7 +456,8 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     write_stats_table({name: retained, f"{name}/dedup": deduped},
                       outdir / "stats.csv")
     write_json(outdir / "stats.json",
-               {"name": name, "retained": retained.to_dict(), "dedup": deduped.to_dict()})
+               {"name": name, "retained": dataclasses.asdict(retained),
+                "dedup": dataclasses.asdict(deduped)})
     _write_provenance(outdir, "stats", cfg, ["stats.csv", "stats.json"])
     print(f"{name}: n={retained.n} m={retained.m} gcc={retained.gcc_size} "
           f"mean_node_degree={retained.mean_node_degree:.4g}")
@@ -536,7 +529,9 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        with warnings.catch_warnings():  # one clamp warning per clamped cell, not per message
+            warnings.filterwarnings("always", r"beta[12] = .* clamped to 1")
+            return COMMANDS[args.command](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ def load_hyperedge_list(path) -> Hypergraph:
     rejected with its line number.
     """
     edge_labels: list[list[str]] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -83,7 +83,7 @@ def load_benson(nverts_path, simplices_path, collapse_duplicates: bool = True) -
     (some published files list a member twice) instead of erroring.
     """
     sizes = []
-    with open(nverts_path) as fh:
+    with open(nverts_path, encoding="utf-8") as fh:
         for tok in fh.read().split():
             try:
                 sizes.append(int(tok))
@@ -92,7 +92,7 @@ def load_benson(nverts_path, simplices_path, collapse_duplicates: bool = True) -
                     f"{nverts_path}: hyperedge size {tok!r} is not an integer") from None
     if any(s < 1 for s in sizes):
         raise ValueError(f"{nverts_path}: hyperedge sizes must be positive")
-    with open(simplices_path) as fh:
+    with open(simplices_path, encoding="utf-8") as fh:
         stream = fh.read().split()
     total = sum(sizes)
     if len(stream) != total:
@@ -124,7 +124,7 @@ def save_hyperedge_list(h: Hypergraph, path) -> None:
     for lab in map(str, h.node_labels or ()):
         if not lab or lab.startswith("#") or "," in lab or any(c.isspace() for c in lab):
             raise ValueError(f"node label {lab!r} does not survive a hyperedge-list round trip")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for edge in h.hyperedges:
             fh.write(" ".join(str(names[v]) for v in edge) + "\n")
 
@@ -169,9 +169,6 @@ class DatasetStats:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 STATS_COLUMNS = ("dataset", *(f.name for f in fields(DatasetStats)))
 
@@ -179,7 +176,7 @@ STATS_COLUMNS = ("dataset", *(f.name for f in fields(DatasetStats)))
 def write_stats_table(rows: dict[str, DatasetStats], path) -> None:
     """Write named stats as CSV, one dataset per row."""
     write_csv(path, "dataset_stats", STATS_COLUMNS,
-              ({"dataset": name, **st.to_dict()} for name, st in rows.items()))
+              ({"dataset": name, **asdict(st)} for name, st in rows.items()))
 
 
 def dataset_stats(

@@ -360,15 +360,6 @@ class SpectralResult:
     residual: float  # L1 residual |B v - lambda_c v| at the returned eigvec
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_c": self.lambda_c,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "num_links": int(len(self.eigvec)),
-        }
-
 
 def _residual(op: WnbOperator, v: np.ndarray, lam: float) -> float:
     """L1 residual |B v - lam v| of an eigenpair estimate."""

@@ -27,7 +27,6 @@ from itertools import count
 import numpy as np
 import scipy.sparse as sp
 
-from .data_io import write_csv
 from .hypergraph import AdjacencyView, TwoSimplexSet, _check_count, _fits
 
 __all__ = [
@@ -112,7 +111,10 @@ def initial_state(num_nodes: int, seeds) -> EpidemicState:
 
 @dataclass
 class OutbreakStats:
-    """Final-size samples over independent runs, plus absorption flags."""
+    """Final-size samples over independent runs, plus absorption flags: a run is
+    absorbed when no node is infectious at its end, and ``non_absorbed`` counts the
+    runs still infectious at t_max.  Not :func:`classify_bistable`'s absorbing
+    fraction, the runs whose final size is under ABSORBING_CUT of the component."""
 
     runs: int
     sigma_samples: np.ndarray
@@ -124,27 +126,16 @@ class OutbreakStats:
         return float(self.sigma_samples.mean()) if self.runs else 0.0
 
     @property
+    def sigma_std(self) -> float:
+        return float(self.sigma_samples.std()) if self.runs else 0.0
+
+    @property
     def fraction_of_gcc(self) -> float:
         return self.sigma_mean / self.gcc_size if self.gcc_size else 0.0
 
     @property
     def non_absorbed(self) -> int:
         return int(self.runs - np.count_nonzero(self.absorbed))
-
-    def summary(self) -> dict:
-        return {
-            "runs": self.runs,
-            "sigma_mean": self.sigma_mean,
-            "sigma_std": float(self.sigma_samples.std()) if self.runs else 0.0,
-            "fraction_of_gcc": self.fraction_of_gcc,
-            "gcc_size": self.gcc_size,
-            "non_absorbed": self.non_absorbed,
-        }
-
-    def write_csv(self, path) -> None:
-        write_csv(path, "run_detail", ("run", "sigma", "absorbed"), (
-            {"run": r, "sigma": int(self.sigma_samples[r]), "absorbed": int(self.absorbed[r])}
-            for r in range(self.runs)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import argparse
 import collections
 import csv
 import json
+import os
 import shlex
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -21,7 +23,8 @@ from hypersir.cli import (
     main,
     resolve_seed_counts,
 )
-from hypersir.data_io import write_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SF_FLAGS = ["--family", "scale_free", "--num-nodes", "120",
             "--num-hyperedges", "200", "--exponent", "2",
@@ -439,6 +442,59 @@ def test_rates_above_one_fail_per_cell_but_not_in_spectrum(tmp_path):
                  "--output-dir", str(tmp_path / "spec")]) == 0
 
 
+def test_failed_cell_row_fills_every_column(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "RESULT_COLUMNS", (*cli.RESULT_COLUMNS, "extra"))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--dataset", str(triangle_file(tmp_path)), "--beta1", "1.5",
+                 "--runs", "2", "--output-dir", str(out)]) == 1
+    with open(out / "results.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh.readlines()[1:])
+    assert (row["method"], row["k"]) == ("cia", "1")
+    assert row["error"] == "ValueError: beta1 must lie in [0, 1]"
+    for key in ("beta1", "beta2", "sigma_mean", "sigma_std", "fraction_of_gcc",
+                "non_absorbed", "extra"):
+        assert row[key] == "", key
+
+
+def run_cli(args, cwd, **env):
+    """``python -m hypersir.cli ARGS`` in a child process whose environment is
+    this one's with ``env`` on top and this tree's ``src`` on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hypersir.cli", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, errors="replace", timeout=120)
+
+
+@pytest.mark.parametrize("form", ["hyperedge_list", "paired", "config"])
+def test_text_inputs_are_read_as_utf8_in_any_locale(tmp_path, form):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("café 1 2\n1 2\n", encoding="utf-8")
+    (tmp_path / "nverts.txt").write_text("3\n2\n")
+    (tmp_path / "simplices.txt").write_text("café 1 2\n1 2\n", encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps({"dataset": str(edges), "name": "café"},
+                                                  ensure_ascii=False), encoding="utf-8")
+    args = {"hyperedge_list": ["stats", "--dataset", str(edges)],
+            "paired": ["stats", "--nverts", "nverts.txt", "--simplices", "simplices.txt"],
+            "config": ["spectrum", "--config", "cfg.json"]}[form]
+    done = run_cli([*args, "--output-dir", "out"], tmp_path,
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="")
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((tmp_path / "out" / "provenance.json").read_text(encoding="utf-8"))
+    if form == "config":
+        assert doc["config"]["name"] == "café"
+    else:
+        assert " n=3 m=2 " in done.stdout
+
+
+def test_every_clamped_cell_prints_its_warning(tmp_path):
+    # k1 = 2 on the triangle, so lambda1 500 reads beta1 250 in both cells
+    done = run_cli(["experiment", "--dataset", str(triangle_file(tmp_path)), "--lambda1", "500",
+                    "--lambda2", "0", "1", "--k-absolute", "1", "--methods", "degree",
+                    "--runs", "2", "--output-dir", "out"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("UserWarning: beta1 = 250 clamped to 1") == 2, done.stderr
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERSIR_OUTPUT_ROOT", str(tmp_path))
     tri = triangle_file(tmp_path)
@@ -773,20 +829,16 @@ def canonical_json(path) -> bool:
 
 def test_every_json_output_is_canonical(tmp_path):
     data = sf_file(tmp_path)
-    for cmd in ("spectrum", "stats"):
+    assert canonical_json(data.parent / "provenance.json")  # generate's
+    for cmd, extra, docs in (("spectrum", [], ["provenance.json", "spectrum.json"]),
+                             ("stats", [], ["provenance.json", "stats.json"]),
+                             ("experiment", ["--beta1", "0.3", "--runs", "3"],
+                              ["provenance.json"])):
         out = tmp_path / cmd
-        assert main([cmd, "--dataset", str(data), "--output-dir", str(out)]) == 0
-        for name in (f"{cmd}.json", "provenance.json"):
+        assert main([cmd, "--dataset", str(data), "--output-dir", str(out), *extra]) == 0
+        assert sorted(p.name for p in out.glob("*.json")) == docs, cmd
+        for name in docs:
             assert canonical_json(out / name), (cmd, name)
-    h = hs.load_hyperedge_list(data)
-    v = hs.build_adjacency(h)
-    write_json(tmp_path / "eig.json", hs.leading_eigen(hs.build_wnb(v, 0.5, 1)).to_dict())
-    write_json(tmp_path / "ds.json", hs.dataset_stats(h).to_dict())
-    write_json(tmp_path / "sir.json",
-               hs.run_sir(v, hs.enumerate_two_simplices(h), [0], hs.EpidemicParams(beta1=0.3),
-                          runs=3).summary())
-    for name in ("eig.json", "ds.json", "sir.json"):
-        assert canonical_json(tmp_path / name), name
 
 
 def test_spectrum_and_stats_reruns_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hypersir as hs
-from hypersir.data_io import write_json
+from hypersir.cli import main
 
 
 def write(tmp_path, name, text):
@@ -232,9 +232,9 @@ def test_stats_validation():
 def test_stats_json_and_table(tmp_path):
     h = hs.Hypergraph(3, [[0, 1, 2]])
     st = hs.dataset_stats(h)
-    jp = tmp_path / "stats.json"
-    write_json(jp, st.to_dict())
-    loaded = json.loads(jp.read_text())
+    assert main(["stats", "--dataset", str(write(tmp_path, "toy.txt", "0 1 2\n")),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    loaded = json.loads((tmp_path / "out" / "stats.json").read_text())["retained"]
     assert loaded["n"] == 3 and loaded["k2_mean"] == 1.0
     tp = tmp_path / "table.csv"
     hs.write_stats_table({"toy": st, "toy2": st}, tp)
@@ -243,3 +243,4 @@ def test_stats_json_and_table(tmp_path):
     assert lines[1] == ("dataset,n,m,gcc_size,mean_node_degree,mean_hyperdegree,"
                         "k1_mean,k2_mean,skipped_large_hyperedges,deduplicated")
     assert lines[2:] == ["toy,3,1,3,2,1,2,1,0,False", "toy2,3,1,3,2,1,2,1,0,False"]
+    assert sorted(loaded) == sorted(lines[1].split(",")[1:])  # the JSON names the columns

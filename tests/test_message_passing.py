@@ -9,7 +9,7 @@ import pytest
 
 import hypersir as hs
 from hypersir import message_passing
-from hypersir.data_io import write_json
+from hypersir.cli import main
 from hypersir.generators import GenSpec, generate
 from oracles import (exact_final_marginals, ihara_bass_radius, leave_one_out_escape, nb_operator,
                      reference_plumb)
@@ -491,17 +491,17 @@ def test_graphs_without_links(h):
 
 
 def test_spectral_json_and_coo_dump(tmp_path):
-    v, _ = views(3, [[0, 1], [1, 2], [0, 2]])
-    op = hs.build_wnb(v, 0.5, 1.0)
-    res = hs.leading_eigen(op)
-    p = tmp_path / "spec.json"
-    write_json(p, res.to_dict())
-    loaded = json.loads(p.read_text())
+    """``spectrum --dump-operator`` on a triangle: spectrum.json and operator.txt."""
+    data = tmp_path / "tri.txt"
+    data.write_text("0 1\n1 2\n0 2\n")
+    assert main(["spectrum", "--dataset", str(data), "--beta1", "0.5", "--dump-operator",
+                 "--output-dir", str(tmp_path)]) == 0
+    loaded = json.loads((tmp_path / "spectrum.json").read_text())
     assert loaded["lambda_c"] == pytest.approx(0.5)
     assert loaded["converged"] is True
-    assert loaded["num_links"] == len(res.eigvec) == 6
-    dump = tmp_path / "op.txt"
-    op.dump_coo(dump)
+    assert loaded["num_links"] == 6
+    v, _ = views(3, [[0, 1], [1, 2], [0, 2]])
+    dump = tmp_path / "operator.txt"
     rows = []
     for line in dump.read_text().splitlines():
         if line.startswith("#"):

@@ -1,14 +1,14 @@
 """Contagion process tests: exact oracles, conservation, statistics."""
 
+import csv
 import itertools
-import json
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import hypersir as hs
-from hypersir.data_io import write_json
+from hypersir.cli import main
 import oracles
 
 
@@ -356,22 +356,28 @@ def test_classify_bistable_edges():
 
 
 def test_outbreak_stats_serialization(tmp_path):
-    v, ts = views(3, [(0, 1, 2)])
-    stats = hs.run_sir(v, ts, [0], hs.EpidemicParams(beta1=0.5, rng_seed=2),
-                       runs=12)
-    csv_path = tmp_path / "runs.csv"
-    stats.write_csv(csv_path)
-    assert b"\r" not in csv_path.read_bytes()  # one line ending throughout
-    lines = csv_path.read_text().strip().splitlines()
+    """The run-detail table and the results row that ``experiment`` writes from one ensemble."""
+    data = tmp_path / "tri.txt"
+    data.write_text("0 1 2\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--dataset", str(data), "--beta1", "0.5", "--rng-seed", "2",
+                 "--k-absolute", "1", "--methods", "degree", "--runs", "12",
+                 "--output-dir", str(out)]) == 0
+    detail = out / "details" / "cell000_degree.csv"
+    assert b"\r" not in detail.read_bytes()  # one line ending throughout
+    lines = detail.read_text().splitlines()
     assert lines[0] == "# schema=run_detail.v1"
     assert lines[1] == "run,sigma,absorbed"
-    assert len(lines) == 2 + 12
-    json_path = tmp_path / "summary.json"
-    write_json(json_path, stats.summary())
-    summary = json.loads(json_path.read_text())
-    assert summary["runs"] == 12
-    assert summary["non_absorbed"] == 0
-    assert summary["sigma_mean"] == pytest.approx(stats.sigma_mean)
+    assert [ln.split(",")[0] for ln in lines[2:]] == [str(r) for r in range(12)]
+    sigma = np.array([int(ln.split(",")[1]) for ln in lines[2:]])
+    with open(out / "results.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh.readlines()[1:])
+    assert (row["runs"], row["non_absorbed"], row["error"]) == ("12", "0", "")
+    assert float(row["sigma_mean"]) == pytest.approx(sigma.mean())
+    assert float(row["sigma_std"]) == pytest.approx(sigma.std())
+    stats = hs.OutbreakStats(runs=12, sigma_samples=sigma, absorbed=np.ones(12, dtype=bool),
+                             gcc_size=3)
+    assert (stats.sigma_mean, stats.sigma_std) == (sigma.mean(), sigma.std())
 
 
 def kernel_cases():
